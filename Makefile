@@ -12,8 +12,13 @@ build:
 test:
 	$(GO) test ./...
 
+# race runs the race detector over the concurrent layers. The equilibrium
+# package runs with -short: its full-catalog and phase-lead tightness sweeps
+# take minutes under the detector and exercise no sweep concurrency the
+# short tests miss; the nightly full-tree race still runs them.
 race:
-	$(GO) test -race ./internal/engine/ ./internal/ring/ ./internal/cointoss/ ./internal/scenario/ ./internal/popproto/
+	$(GO) test -race ./internal/engine/ ./internal/ring/ ./internal/cointoss/ ./internal/scenario/ ./internal/service/ ./internal/popproto/
+	$(GO) test -race -short ./internal/equilibrium/
 
 # docs-check is the documentation floor: vet must be clean, every package
 # (internal/, cmd/, examples/ and the root) must carry a package doc

@@ -51,7 +51,9 @@ const (
 // scenario and returns its equilibrium certificate. Honest scenarios sweep
 // every applicable deviation family up to the protocol's claimed resilience
 // bound — certifying exactly the paper's fairness claim — while attack
-// scenarios sweep their own family across modes and sizes. For a fixed seed
+// scenarios sweep their own family across modes and sizes. opts.Workers is
+// the sweep's worker budget: up to that many candidates run at once, and
+// opts.Progress still reports them in enumeration order. For a fixed seed
 // the certificate is byte-identical at any opts.Workers.
 func Certify(ctx context.Context, name string, seed int64, opts CertifyOptions) (*Certificate, error) {
 	s, ok := scenario.Find(name)

@@ -64,7 +64,7 @@ func run(args []string, out, errOut io.Writer) error {
 		eps       = fs.Float64("eps", 0, "fairness threshold ε (0 = 0.05)")
 		alpha     = fs.Float64("alpha", 0, "simultaneous error level (0 = 0.05)")
 		seed      = fs.Int64("seed", 20180516, "base seed for every candidate batch")
-		workers   = fs.Int("workers", 0, "parallel trial workers (0 = all CPUs); certificates are identical for any value")
+		workers   = fs.Int("workers", 0, "worker budget per sweep: up to this many candidates run at once (0 = all CPUs); certificates are identical for any value")
 		version   = fs.String("version", "dev", "code version recorded in certificate digests")
 		format    = fs.String("format", "table", "output format: table, csv, json, markdown")
 		verbose   = fs.Bool("v", false, "also list every swept candidate (table format only)")

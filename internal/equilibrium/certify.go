@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/ring"
@@ -49,8 +52,10 @@ type Options struct {
 	// MinTrials is the earliest early-stopping point; 0 picks
 	// DefaultMinTrials.
 	MinTrials int
-	// Workers is the engine worker count per candidate batch; 0 picks
-	// runtime.NumCPU(). Certificates are identical for any value.
+	// Workers is the sweep's worker budget; 0 picks runtime.NumCPU(). Up
+	// to Workers candidates run at once, each as a single-worker batch; a
+	// sweep with fewer candidates splits the budget among them.
+	// Certificates are identical for any value.
 	Workers int
 	// MaxK bounds coalition sizes for honest scenarios' sweeps; 0 picks
 	// the protocol's claimed resilience bound (Scenario.ResilientK), so
@@ -78,8 +83,10 @@ type Options struct {
 	// Arenas, if non-nil, draws engine worker arenas from a shared pool
 	// (the service daemon's resident mode).
 	Arenas *engine.ArenaPool
-	// Progress, if non-nil, is called after each candidate finishes, in
-	// enumeration order — a deterministic sequence for a fixed seed.
+	// Progress, if non-nil, reports each finished candidate in enumeration
+	// order — once it and every earlier candidate have finished — on the
+	// calling goroutine, never two calls at once: a deterministic sequence
+	// for a fixed seed, at any worker count.
 	Progress func(Progress)
 }
 
@@ -103,10 +110,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Progress is one step of a running sweep: the candidate that just
-// finished and the running best. The sequence is deterministic for a fixed
-// seed — candidates run in enumeration order — so streamed progress can be
-// replayed like any other result.
+// Progress is one step of a running sweep: the next candidate in
+// enumeration order and the running best. The sequence is deterministic
+// for a fixed seed — candidates may finish in any order, but they report in
+// enumeration order — so streamed progress can be replayed like any other
+// result.
 type Progress struct {
 	// Scenario names the certified scenario.
 	Scenario string `json:"scenario"`
@@ -114,7 +122,7 @@ type Progress struct {
 	// counts from 1).
 	Index int `json:"index"`
 	Total int `json:"total"`
-	// Candidate is the deviation that just finished.
+	// Candidate is the reported deviation.
 	Candidate scenario.DeviationCandidate `json:"candidate"`
 	// Trials is how many trials the candidate ran before resolving.
 	Trials int `json:"trials"`
@@ -211,10 +219,12 @@ func (c *Certificate) Best() *CandidateResult {
 
 // Certify runs the best-response sweep for one scenario and returns its
 // certificate. The sweep is deterministic: for a fixed seed and options the
-// certificate is byte-identical at any worker count.
+// certificate is byte-identical at any worker count. Candidates run
+// concurrently (see runInOrder) but fold into the certificate, and report
+// to Options.Progress, in enumeration order.
 func Certify(ctx context.Context, sc scenario.Scenario, seed int64, o Options) (*Certificate, error) {
 	o = o.withDefaults()
-	runOpts := scenario.Opts{N: o.N, Trials: o.Trials, Workers: o.Workers, Arenas: o.Arenas}
+	runOpts := scenario.Opts{N: o.N, Trials: o.Trials, Arenas: o.Arenas}
 	n := sc.N
 	if o.N > 0 {
 		n = o.N
@@ -267,29 +277,25 @@ func Certify(ctx context.Context, sc scenario.Scenario, seed int64, o Options) (
 		Baseline:  baseline,
 		BestIndex: -1,
 	}
-	bestGain, anyFeasible := 0.0, false
-	for i, cand := range space {
-		identity := cand.Family == scenario.FamilyIdentity
+	devID := devIdentity{
+		N: n, Trials: o.Trials, MinTrials: o.MinTrials,
+		Epsilon: o.Epsilon, Alpha: o.Alpha, M: m, NoStop: o.NoStop,
+	}
+	measure := func(ctx context.Context, i, workers int) (CandidateResult, error) {
+		cand := space[i]
 		cz := z
-		if identity {
+		if cand.Family == scenario.FamilyIdentity {
 			cz = zIdentity
 		}
 		candOpts := runOpts
+		candOpts.Workers = workers
 		if !o.NoStop {
 			candOpts.Stop = stopRule(cand, cz, threshold, o.MinTrials)
 		}
-		res := CandidateResult{
-			Candidate: cand,
-			Digest: DeviationKey(o.Version, sc.Name, seed, devIdentity{
-				N: n, Trials: o.Trials, MinTrials: o.MinTrials,
-				Epsilon: o.Epsilon, Alpha: o.Alpha, M: m, NoStop: o.NoStop,
-			}, cand),
-		}
+		res := CandidateResult{Candidate: cand, Digest: DeviationKey(o.Version, sc.Name, seed, devID, cand)}
 		dist, err := sc.RunDeviation(ctx, seed, cand, candOpts)
 		var planErr *ring.PlanError
 		switch {
-		case ctx.Err() != nil:
-			return nil, ctx.Err()
 		case err != nil && errors.As(err, &planErr):
 			// Per-trial planning rejection: enumeration probes planning
 			// with one representative seed, so a seed-dependent family
@@ -301,7 +307,7 @@ func Certify(ctx context.Context, sc scenario.Scenario, seed int64, o Options) (
 			// failure — must fail the sweep: silently dropping the
 			// candidate could certify "fair" while the profitable
 			// deviation was the one that crashed.
-			return nil, fmt.Errorf("equilibrium: %s: candidate %s: %w", sc.Name, cand, err)
+			return res, fmt.Errorf("equilibrium: %s: candidate %s: %w", sc.Name, cand, err)
 		default:
 			wins, leader := winCell(dist, cand)
 			lo, hi := stats.WilsonInterval(wins, dist.Trials, cz)
@@ -309,6 +315,12 @@ func Certify(ctx context.Context, sc scenario.Scenario, seed int64, o Options) (
 			res.Trials, res.Wins, res.Leader = dist.Trials, wins, leader
 			res.Gain, res.GainLo, res.GainHi = rate-baseline, lo-baseline, hi-baseline
 			res.FailRate = dist.FailureRate()
+		}
+		return res, nil
+	}
+	bestGain, anyFeasible := 0.0, false
+	fold := func(i int, res CandidateResult) {
+		if !res.Infeasible {
 			if cert.BestIndex < 0 || res.Gain > bestGain {
 				cert.BestIndex, bestGain = i, res.Gain
 			}
@@ -326,12 +338,15 @@ func Certify(ctx context.Context, sc scenario.Scenario, seed int64, o Options) (
 				Scenario:  sc.Name,
 				Index:     i + 1,
 				Total:     m,
-				Candidate: cand,
+				Candidate: res.Candidate,
 				Trials:    res.Trials,
 				Gain:      res.Gain,
 				BestGain:  bestGain,
 			})
 		}
+	}
+	if err := runInOrder(ctx, m, o.Workers, measure, fold); err != nil {
+		return nil, err
 	}
 	cert.MaxGain = bestGain
 	switch {
@@ -346,6 +361,90 @@ func Certify(ctx context.Context, sc scenario.Scenario, seed int64, o Options) (
 	}
 	cert.Key = Key(sc, seed, o)
 	return cert, nil
+}
+
+// runInOrder runs a sweep's m candidates — measure(ctx, i, w) runs
+// candidate i on w engine workers — on up to workers concurrent lanes (0
+// picks runtime.NumCPU()), and hands the results to report in enumeration
+// order: report(i, ·) runs on the calling goroutine once candidates 0..i
+// have all finished, so calls never overlap. With at least as many
+// candidates as workers every lane is a single-worker batch; fewer
+// candidates split the workers among them, so a one-candidate sweep runs
+// on all of them.
+//
+// Scheduling cannot move a byte: a candidate's stopping point depends only
+// on its chunk-ordered prefixes, whatever its worker count (a single worker
+// never claims a chunk past its own stopping point, so none is discarded),
+// and the fold happens in enumeration order. A candidate error ends the
+// sweep with the lowest-index failure, after reporting every candidate
+// before it — exactly what a sequential sweep returns — and cancellation
+// returns ctx.Err(). Either way no lane outlives the call.
+func runInOrder(ctx context.Context, m, workers int,
+	measure func(ctx context.Context, i, workers int) (CandidateResult, error),
+	report func(i int, res CandidateResult)) error {
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	lanes := min(workers, m)
+	type outcome struct {
+		i   int
+		res CandidateResult
+		err error
+	}
+	laneCtx, cancel := context.WithCancel(ctx)
+	var (
+		wg     sync.WaitGroup
+		next   atomic.Int64            // next unclaimed candidate
+		failed atomic.Bool             // some candidate failed: claim no more
+		done   = make(chan outcome, m) // buffered: a lane never blocks on it
+	)
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
+	for l := 0; l < lanes; l++ {
+		w := workers / lanes
+		if l < workers%lanes {
+			w++
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for laneCtx.Err() == nil && !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= m {
+					return
+				}
+				res, err := measure(laneCtx, i, w)
+				if err != nil {
+					// Candidates are claimed in index order, so every
+					// unclaimed one lies past this failure: none of them
+					// can be reported any more.
+					failed.Store(true)
+				}
+				done <- outcome{i, res, err}
+			}
+		}()
+	}
+	got := make([]*outcome, m)
+	for frontier := 0; frontier < m; {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case out := <-done:
+			got[out.i] = &out
+		}
+		for ; frontier < m && got[frontier] != nil; frontier++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := got[frontier].err; err != nil {
+				return err
+			}
+			report(frontier, got[frontier].res)
+		}
+	}
+	return nil
 }
 
 // winCell picks the measured cell of a candidate's distribution: the forced

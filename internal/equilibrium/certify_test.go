@@ -62,7 +62,9 @@ func TestIdentityCertifiesFairEverywhere(t *testing.T) {
 
 // TestCertificateDeterministicAcrossWorkers reruns representative sweeps at
 // different worker counts and demands byte-identical certificates: the
-// early-stopping points, the arg-max, the digests — everything.
+// early-stopping points, the arg-max, the digests — everything. The sweeps
+// hold 3, 7 and 2 candidates, so the counts cover one lane, fewer lanes than
+// candidates, and more workers than candidates (split lanes).
 func TestCertificateDeterministicAcrossWorkers(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range []string{
@@ -72,7 +74,7 @@ func TestCertificateDeterministicAcrossWorkers(t *testing.T) {
 	} {
 		sc := scenario.MustFind(name)
 		var blobs [][]byte
-		for _, workers := range []int{1, 3, 0} {
+		for _, workers := range []int{1, 2, 3, 8, 0} {
 			cert, err := Certify(ctx, sc, 7, Options{Trials: 400, Workers: workers})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)

@@ -7,11 +7,12 @@
 // gain over the fair 1/n baseline, a multiplicity-corrected Wilson upper
 // bound on it, and a verdict (fair, exploitable, or inconclusive).
 //
-// The sweep is deterministic end to end. Candidates run in a fixed
-// enumeration order on the engine's deterministic seeding, early stopping
-// rides the chunk-ordered frontier (a candidate's batch ends as soon as its
-// corrected Wilson interval provably resolves the ε question, at a point
-// independent of worker count), and the certificate's arg-max deviation
+// The sweep is deterministic end to end. Candidates run concurrently on
+// the engine's deterministic seeding but fold into the certificate in a
+// fixed enumeration order, early stopping rides the chunk-ordered frontier
+// (a candidate's batch ends as soon as its corrected Wilson interval
+// provably resolves the ε question, at a point independent of worker
+// count), and the certificate's arg-max deviation
 // carries a content-address digest in the scenario.JobKey style, so any
 // certified exploit can be replayed exactly. Repeated runs with the same
 // seed produce byte-identical certificates at any worker count — which is

@@ -374,11 +374,30 @@ func TestFleetChunkErrorFailsWholeJob(t *testing.T) {
 }
 
 // TestWorkerStatsSurface pins the worker node's observability: /statz on a
-// worker reports its role and its claim-loop counters.
+// worker reports its role and its claim-loop counters. The worker is
+// certain to get work: it joins only once the coordinator's single local
+// claimant is busy on a one-chunk job far longer than the test, so the
+// next job's chunk has no other claimant.
 func TestWorkerStatsSurface(t *testing.T) {
-	_, coordClient := newTestServer(t, Config{
-		Version: "fleet-wstats", Role: RoleCoordinator, FleetChunk: 200, Parallel: 1,
+	coord, coordClient := newTestServer(t, Config{
+		Version: "fleet-wstats", Role: RoleCoordinator, FleetChunk: DefaultMaxTrials, Parallel: 1,
 	})
+	ctx := context.Background()
+	blocker, err := coordClient.Submit(ctx, []JobRequest{
+		{Scenario: "ring/a-lead/fifo", N: 24, Trials: DefaultMaxTrials, Seed: 60},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = coordClient.Cancel(ctx, blocker[0].ID) })
+	deadline := time.Now().Add(10 * time.Second)
+	for coord.Scheduler().Stats().Workers.Busy == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the local claimant never picked up the blocking job")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
 	w, err := New(Config{Version: "fleet-wstats", Role: RoleWorker, Join: coordClient.BaseURL(), Parallel: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -394,9 +413,9 @@ func TestWorkerStatsSurface(t *testing.T) {
 	if final.Status != StatusDone {
 		t.Fatalf("job ended %s: %s", final.Status, final.Error)
 	}
-	deadline := time.Now().Add(10 * time.Second)
+	deadline = time.Now().Add(10 * time.Second)
 	for {
-		st, err := wClient.Stats(context.Background())
+		st, err := wClient.Stats(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,6 +13,16 @@ import (
 // once its context is canceled.
 const shutdownGrace = 5 * time.Second
 
+// HTTP connection timeouts. A client that has not finished its request
+// headers within readHeaderTimeout is disconnected instead of holding a
+// server goroutine forever, and a keep-alive connection idle for
+// idleTimeout is closed. There is deliberately no write timeout: a
+// ?watch=1 progress stream stays open for as long as its job runs.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Server is one daemon instance: a scheduler plus its HTTP surface. Build
 // it with New, then either mount Handler on an existing mux (tests use
 // httptest.NewServer) or run it as a process with ListenAndServe.
@@ -88,7 +98,11 @@ func (s *Server) Listen() (net.Listener, error) {
 // accepting and wait up to shutdownGrace for responses to finish. It
 // returns nil on a clean shutdown.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	httpSrv := &http.Server{Handler: s.handler}
+	httpSrv := &http.Server{
+		Handler:           s.handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	select {

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
+	"net"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -357,6 +360,51 @@ func TestShutdownDrainsActiveWatchStream(t *testing.T) {
 	}
 	if final := <-watchDone; final.Status == StatusRunning || final.Status == StatusQueued {
 		t.Fatalf("watcher observed non-terminal final state %s", final.Status)
+	}
+}
+
+// TestServeClosesStalledHeaders pins the slow-header guard: a connection
+// that never finishes its request headers is closed once readHeaderTimeout
+// passes, instead of holding a server goroutine forever.
+func TestServeClosesStalledHeaders(t *testing.T) {
+	srv, err := New(Config{Addr: "127.0.0.1:0", Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := srv.Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ctx, ln) }()
+	t.Cleanup(func() {
+		cancel()
+		<-serveErr
+	})
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Half a request: the header block never ends.
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: fleserve\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// The server closes without replying: EOF (or a reset), never a
+	// response and never our own read deadline.
+	n, err := conn.Read(make([]byte, 512))
+	var netErr net.Error
+	if err == nil || (errors.As(err, &netErr) && netErr.Timeout()) {
+		t.Fatalf("read on a stalled request = (%d bytes, %v), want the server to close the connection", n, err)
+	}
+	if took := time.Since(start); took < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, before the %v header timeout", took, readHeaderTimeout)
 	}
 }
 
