@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race check docs-check bench bench-tagged bench-gate certify-smoke certify-golden fleet-smoke dsl-smoke profile
+.PHONY: build test race check docs-check inline-check bench bench-tagged bench-gate certify-smoke certify-golden fleet-smoke dsl-smoke profile
 
 build:
 	$(GO) build ./...
@@ -31,7 +31,21 @@ docs-check:
 	$(GO) vet ./...
 	$(GO) run ./internal/tools/doccheck -pkgdoc . -apicheck . .
 
-check: build docs-check test race
+# inline-check guards the per-message send path. Context.Send must inline
+# into the protocols' strategies, so its one call, Network.send, is the only
+# frame a send pays; the pending-ring push must inline into that call. A
+# single added branch in either would cost every message a call frame
+# without failing any test. CI runs this in the verify job.
+inline-check:
+	@$(GO) build -gcflags=-m ./internal/protocols/alead ./internal/protocols/phaselead 2>&1 | \
+		grep -q 'inlining call to sim.(\*Context).Send' || \
+		{ echo "inline-check: sim.(*Context).Send is no longer inlined" >&2; exit 1; }
+	@$(GO) build -gcflags=-m ./internal/sim 2>&1 | \
+		grep -q 'can inline (\*Network).pushPending' || \
+		{ echo "inline-check: sim.(*Network).pushPending is no longer inlinable" >&2; exit 1; }
+	@echo "inline-check: Context.Send and the pending-ring push inline"
+
+check: build docs-check inline-check test race
 
 # service-smoke is the daemon's end-to-end acceptance run: build the real
 # fleserve binary, boot it on an ephemeral port, drive a 100-job concurrent

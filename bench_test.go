@@ -330,7 +330,9 @@ func BenchmarkRandFuncEval(b *testing.B) {
 }
 
 func BenchmarkCoordinateSearch(b *testing.B) {
-	// The steering search at the heart of the PhaseRushing attack.
+	// The steering search at the heart of the PhaseRushing attack, as a
+	// one-label loop; BenchmarkSearchCoordinates in internal/attacks times
+	// the attack's own search with one to three free labels.
 	const n = 1024
 	proto := phaselead.NewDefault()
 	cfg, err := proto.Config(n)

@@ -3,8 +3,8 @@ package attacks
 import (
 	"fmt"
 
-	"repro/internal/engine"
 	"repro/internal/protocols/phaselead"
+	"repro/internal/randfunc"
 	"repro/internal/ring"
 	"repro/internal/sim"
 )
@@ -71,11 +71,6 @@ type PhaseRushing struct {
 	// SearchCap bounds the per-segment coordinate search; 0 picks 64·n
 	// tries (failure probability ≈ e^{−64} per segment with ≥ 2 slots).
 	SearchCap int
-	// SearchWorkers parallelizes the coordinate search via engine.Search;
-	// 0 keeps it sequential, the right default when the enclosing trials
-	// already saturate the CPUs. The chosen assignment is identical at
-	// any worker count (always the minimal satisfying one).
-	SearchWorkers int
 }
 
 var _ ring.Attack = PhaseRushing{}
@@ -189,15 +184,14 @@ func (a PhaseRushing) Plan(n int, target int64, _ int64) (*ring.Deviation, error
 	}
 	for i, pos := range coalition {
 		adv := &phaseRushAdversary{
-			cfg:           cfg,
-			pos:           int(pos),
-			k:             k,
-			li:            dists[i],
-			target:        target,
-			mode:          mode,
-			steer:         mode == PhaseSteer || mode == PhaseBestEffort,
-			searchCap:     searchCap,
-			searchWorkers: a.SearchWorkers,
+			cfg:       cfg,
+			pos:       int(pos),
+			k:         k,
+			li:        dists[i],
+			target:    target,
+			mode:      mode,
+			steer:     mode == PhaseSteer || mode == PhaseBestEffort,
+			searchCap: searchCap,
 		}
 		adv.valueOf = tabs[0 : n+1 : n+1]
 		adv.sentData = tabs[n+1 : 2*(n+1) : 2*(n+1)]
@@ -247,16 +241,15 @@ func backwardHonest(pos, n int, coalition []sim.ProcID) []int {
 
 // phaseRushAdversary is one coalition member of PhaseRushing.
 type phaseRushAdversary struct {
-	cfg           phaselead.Config
-	pos           int
-	k             int
-	li            int
-	target        int64
-	mode          PhaseMode
-	steer         bool
-	searchCap     int
-	searchWorkers int
-	backward      []int
+	cfg       phaselead.Config
+	pos       int
+	k         int
+	li        int
+	target    int64
+	mode      PhaseMode
+	steer     bool
+	searchCap int
+	backward  []int
 
 	// Chase-mode metadata: the unsteerable long segment's adversary.
 	longPos      int
@@ -468,7 +461,7 @@ func (p *phaseRushAdversary) computeSteering(rStart int, goal int64) {
 	for r := rStart; r <= freeEnd; r++ {
 		labels = append(labels, p.cfg.Label(p.pos+1-r))
 	}
-	values, ok := searchCoordinates(f, acc, labels, goal, p.searchCap, p.searchWorkers)
+	values, ok := searchCoordinates(f, acc, labels, goal, p.searchCap)
 	if !ok {
 		return // leave steered empty: fall back to blind values
 	}
@@ -478,46 +471,46 @@ func (p *phaseRushAdversary) computeSteering(rStart int, goal int64) {
 }
 
 // searchCoordinates looks for data values at the given labels that make the
-// function finalize to target, trying assignments in a fixed deterministic
-// order on engine.Search (workers ≤ 1 keeps the scan sequential). With one
-// label the search is exhaustive over [n] (success probability ≈ 1−1/e for
-// a random f); with two or more, at most cap assignments are tried and
-// cap = 64n tries fail with probability ≈ e^{−64}. The returned assignment
-// is the minimal satisfying one regardless of worker count.
-func searchCoordinates(f interface {
-	CoordData(int, int64) uint64
-	Finalize(uint64) int64
-	N() int
-}, acc uint64, labels []int, target int64, cap, workers int) ([]int64, bool) {
-	n := int64(f.N())
+// function finalize to target. The t-th assignment tried is t's base-n
+// digits, labels[0] least significant, and the search commits to the
+// smallest satisfying t. With one label the search is exhaustive over [n]
+// (success probability ≈ 1−1/e for a random f); with two or more, at most
+// cap assignments are tried and cap = 64n tries fail with probability
+// ≈ e^{−64}.
+//
+// The scan walks t in blocks of n that share every digit but the lowest:
+// each block folds its higher digits into the accumulator once, so a try
+// costs one CoordData and one Finalize, with no per-try allocation.
+func searchCoordinates(f *randfunc.Func, acc uint64, labels []int, target int64, cap int) ([]int64, bool) {
+	n := f.N()
 	c := len(labels)
 	if c == 0 {
 		return nil, false
 	}
 	limit := cap
 	if c == 1 {
-		limit = int(n) // exhaustive over the single coordinate
+		limit = n // exhaustive over the single coordinate
 	}
-	// The t-th assignment is t's base-n digits, labels[0] least
-	// significant; candidates are tested by folding the digits straight
-	// into the accumulator, with no per-try allocation.
-	hit, ok := engine.Search(limit, func(t int) bool {
-		trial := acc
-		rem := int64(t)
-		for _, lab := range labels {
-			trial ^= f.CoordData(lab, rem%n)
+	for block := 0; block*n < limit; block++ {
+		high := acc
+		rem := block
+		for _, lab := range labels[1:] {
+			high ^= f.CoordData(lab, int64(rem%n))
 			rem /= n
 		}
-		return f.Finalize(trial) == target
-	}, workers)
-	if !ok {
-		return nil, false
+		tries := min(n, limit-block*n)
+		for d := 0; d < tries; d++ {
+			if f.Finalize(high^f.CoordData(labels[0], int64(d))) != target {
+				continue
+			}
+			values := make([]int64, c)
+			values[0], rem = int64(d), block
+			for i := 1; i < c; i++ {
+				values[i] = int64(rem % n)
+				rem /= n
+			}
+			return values, true
+		}
 	}
-	values := make([]int64, c)
-	rem := int64(hit)
-	for i := range values {
-		values[i] = rem % n
-		rem /= n
-	}
-	return values, true
+	return nil, false
 }

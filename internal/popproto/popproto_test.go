@@ -18,9 +18,9 @@ func TestNewRunnerValidation(t *testing.T) {
 		{N: 8, K: 1, Target: -1}, // target off the ring
 		{N: 8, Window: -1},
 		{N: 8, MaxSteps: -1},
-		{N: 8, Start: []int{0}},                      // wrong length
-		{N: 2, Start: []int{0, 2}},                   // label out of range
-		{N: 2, Start: []int{0, -1}},                  // label out of range
+		{N: 8, Start: []int{0}},     // wrong length
+		{N: 2, Start: []int{0, 2}},  // label out of range
+		{N: 2, Start: []int{0, -1}}, // label out of range
 		{N: 4, K: 4, Target: 0, Start: []int{0, 0}}, // first error wins, still an error
 	}
 	for _, cfg := range bad {
@@ -106,11 +106,11 @@ func TestHonestUniform(t *testing.T) {
 func TestSelfStabilizes(t *testing.T) {
 	const n = 10
 	starts := [][]int{
-		nil,                             // honest symmetric start
-		{9, 8, 7, 6, 5, 4, 3, 2, 1, 0},  // reversed wheel
-		{0, 1, 2, 3, 4, 0, 1, 2, 3, 4},  // two half-frames
-		{5, 5, 5, 5, 5, 5, 5, 5, 5, 5},  // no label-0 agent at all
-		{0, 2, 4, 6, 8, 1, 3, 5, 7, 9},  // interleaved junk
+		nil,                            // honest symmetric start
+		{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, // reversed wheel
+		{0, 1, 2, 3, 4, 0, 1, 2, 3, 4}, // two half-frames
+		{5, 5, 5, 5, 5, 5, 5, 5, 5, 5}, // no label-0 agent at all
+		{0, 2, 4, 6, 8, 1, 3, 5, 7, 9}, // interleaved junk
 	}
 	randomStart := make([]int, n)
 	rng := sim.NewStream(99, 1)

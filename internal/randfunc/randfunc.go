@@ -19,6 +19,16 @@
 //     coordinate search and large-n benchmarks feasible. A strictly
 //     sequential variant (StrictFunc) without this shortcut is provided for
 //     cross-checks.
+//
+// A coordinate mix is Mix64(key^tag, Mix64(pos, v)), and each Mix64 runs the
+// SplitMix64 finalizer twice: once on its first argument alone, once on the
+// combination. Three of those first-argument halves do not depend on v, so
+// New computes them once per function: the data key Mix64Key(key^tagData),
+// the validation key Mix64Key(key^tagVal), and Mix64Key(pos) for every
+// position in [0, n]. CoordData and CoordVal then finish the two mixes with
+// Mix64Keyed, two finalizer runs instead of four. Mix64Keyed(Mix64Key(a), b)
+// is Mix64(a, b) by definition, so f's output bits are exactly those of the
+// written-out formula; positions outside the table take Mix64Key directly.
 package randfunc
 
 import (
@@ -37,8 +47,11 @@ const (
 // Func is a keyed member of the random function family. It is immutable and
 // safe for concurrent use.
 type Func struct {
-	seed uint64
-	n    int
+	seed    uint64
+	n       int
+	dataKey uint64   // Mix64Key(seed ^ tagData)
+	valKey  uint64   // Mix64Key(seed ^ tagVal)
+	posKey  []uint64 // posKey[pos] = Mix64Key(pos) for pos in [0, n]
 }
 
 // New returns the family member selected by seed, with outputs in [1..n].
@@ -46,7 +59,18 @@ func New(seed int64, n int) (*Func, error) {
 	if n < 1 {
 		return nil, errors.New("randfunc: need n ≥ 1")
 	}
-	return &Func{seed: sim.Mix64(uint64(seed), 0xf00d), n: n}, nil
+	key := sim.Mix64(uint64(seed), 0xf00d)
+	f := &Func{
+		seed:    key,
+		n:       n,
+		dataKey: sim.Mix64Key(key ^ tagData),
+		valKey:  sim.Mix64Key(key ^ tagVal),
+		posKey:  make([]uint64, n+1),
+	}
+	for pos := range f.posKey {
+		f.posKey[pos] = sim.Mix64Key(uint64(pos))
+	}
+	return f, nil
 }
 
 // N returns the output range size.
@@ -54,12 +78,20 @@ func (f *Func) N() int { return f.n }
 
 // CoordData mixes the data coordinate at 1-based position pos with value v.
 func (f *Func) CoordData(pos int, v int64) uint64 {
-	return sim.Mix64(f.seed^tagData, sim.Mix64(uint64(pos), uint64(v)))
+	return sim.Mix64Keyed(f.dataKey, sim.Mix64Keyed(f.keyOf(pos), uint64(v)))
 }
 
 // CoordVal mixes the validation coordinate at 1-based position pos.
 func (f *Func) CoordVal(pos int, v int64) uint64 {
-	return sim.Mix64(f.seed^tagVal, sim.Mix64(uint64(pos), uint64(v)))
+	return sim.Mix64Keyed(f.valKey, sim.Mix64Keyed(f.keyOf(pos), uint64(v)))
+}
+
+// keyOf returns Mix64Key(pos), from the table when pos is in [0, n].
+func (f *Func) keyOf(pos int) uint64 {
+	if uint(pos) < uint(len(f.posKey)) {
+		return f.posKey[pos]
+	}
+	return sim.Mix64Key(uint64(pos))
 }
 
 // Finalize maps an XOR-accumulator of coordinate mixes to a leader in [1..n].

@@ -1,10 +1,12 @@
 package randfunc
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -140,6 +142,50 @@ func TestIncrementalMatchesEval(t *testing.T) {
 	}
 	if err := quick.Check(check, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCoordinatesMatchMix64Formula pins Func's bits to the written-out
+// formula, independently of its precomputed keys: a coordinate mix is
+// Mix64(key^tag, Mix64(pos, v)) and the output is Mix64(acc, key) mod n + 1,
+// with key = Mix64(seed, 0xf00d). Positions run over the whole table, both
+// of its edges and past them; values are negative, in [0, n) and at or
+// beyond PhaseAsyncLead's validation range 2n².
+func TestCoordinatesMatchMix64Formula(t *testing.T) {
+	for _, seed := range []int64{0, 1, -7, 20180516, math.MaxInt64} {
+		for _, n := range []int{1, 2, 5, 16, 100} {
+			f, err := New(seed, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := sim.Mix64(uint64(seed), 0xf00d)
+			m := 2 * int64(n) * int64(n)
+			values := []int64{math.MinInt64, -int64(n), -2, -1, m, m + 1, 3*m + 7, math.MaxInt64}
+			for v := int64(0); v < int64(n); v++ {
+				values = append(values, v)
+			}
+			for pos := -1; pos <= n+2; pos++ {
+				for _, v := range values {
+					inner := sim.Mix64(uint64(pos), uint64(v))
+					if got, want := f.CoordData(pos, v), sim.Mix64(key^0x64617461, inner); got != want {
+						t.Fatalf("seed=%d n=%d: CoordData(%d, %d) = %#x, want %#x", seed, n, pos, v, got, want)
+					}
+					if got, want := f.CoordVal(pos, v), sim.Mix64(key^0x76616c73, inner); got != want {
+						t.Fatalf("seed=%d n=%d: CoordVal(%d, %d) = %#x, want %#x", seed, n, pos, v, got, want)
+					}
+				}
+			}
+			rng := rand.New(rand.NewSource(seed))
+			accs := []uint64{0, 1, math.MaxUint64}
+			for i := 0; i < 64; i++ {
+				accs = append(accs, rng.Uint64())
+			}
+			for _, acc := range accs {
+				if got, want := f.Finalize(acc), int64(sim.Mix64(acc, key)%uint64(n))+1; got != want {
+					t.Fatalf("seed=%d n=%d: Finalize(%#x) = %d, want %d", seed, n, acc, got, want)
+				}
+			}
+		}
 	}
 }
 

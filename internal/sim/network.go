@@ -186,15 +186,25 @@ type Network struct {
 	// schedule-dependent: in FIFO mode it packs from<<32|to so delivery
 	// never dereferences the link table; in every other mode it is the
 	// link index the scheduler's pick resolves through. pendHead and
-	// pendTail are absolute counters; index = ctr & (len−1).
+	// pendTail are absolute counters; index = ctr & pendMask, where pendMask
+	// is len(pend)−1. pendStop is a tail value below which a push is known
+	// to fit: it trails the true limit pendHead+len(pend) until a push
+	// reaches it and growPending refreshes it or grows the ring. Both are
+	// kept as fields so the push stays within the inliner's budget (see
+	// pushPending).
 	pend     []pendSlot
 	pendHead int
 	pendTail int
+	pendMask int
+	pendStop int
 
 	sched     Scheduler
 	schedKind schedKind
 	randSched *RandomScheduler
 	tracer    Tracer
+	// fastSend is set by configure when the schedule is global FIFO and no
+	// tracer is attached: Context.Send then takes send's one-frame path.
+	fastSend  bool
 	stepLimit int
 	// steps and delivered are materialized from pendHead and dropDeliver
 	// when a run loop exits; the loops themselves maintain only pendHead
@@ -297,11 +307,12 @@ func (net *Network) configure(cfg Config) error {
 		net.schedKind = schedGeneric
 	}
 	net.tracer = cfg.Tracer
+	net.fastSend = net.schedKind == schedFIFO && net.tracer == nil
 	net.stepLimit = cfg.StepLimit
 	if net.stepLimit <= 0 {
 		net.stepLimit = 64*n*n + 4096
 	}
-	net.pendHead, net.pendTail = 0, 0
+	net.pendHead, net.pendTail, net.pendStop = 0, 0, len(net.pend)
 	net.steps, net.delivered, net.dropped, net.dropDeliver, net.terminated = 0, 0, 0, 0, 0
 	net.ran = false
 	if cap(net.procs) < n+1 {
@@ -401,16 +412,58 @@ var _ Backend = (*Network)(nil)
 func (net *Network) Size() int { return net.n }
 
 // Send implements Backend: enqueue on the processor's first outgoing link.
-// This is the per-message primitive of every ring protocol, so the whole
-// FIFO path — status checks, counters, the pending-ring push — is fused
-// into one call frame that touches only the sender's and target's hot
-// records: the destination rides in the route cache (whose −1 sentinel also
-// encodes "sender already terminated"), and neither outLinks nor the link
-// table is consulted.
+// Context.Send comes here only on the general path — a tracer is attached
+// or the schedule is not global FIFO; untraced FIFO sends take send. The
+// destination rides in the route cache, whose −1 sentinel also encodes
+// "sender already terminated".
 func (net *Network) Send(from ProcID, value int64) {
+	if to := net.hot[from].outTo; to >= 0 {
+		net.sendOnLink(from, int(net.outLink[from]), ProcID(to), value)
+	}
+}
+
+// send is the per-message primitive of every ring protocol and the only
+// call Context.Send makes, which keeps Context.Send inlinable. On an
+// untraced global-FIFO network (fastSend, set by configure) the whole send —
+// route check, counter, dead-link drop, pending-ring push — runs in this one
+// frame and touches only the sender's and target's hot records. A nil
+// receiver (a foreign backend such as internal/conc) and every other network
+// take the general path through the Backend interface.
+func (net *Network) send(c *Context, value int64) {
+	if net == nil || !net.fastSend {
+		c.backend.Send(c.self, value)
+		return
+	}
+	from := c.self
 	h := &net.hot[from]
 	to := ProcID(h.outTo)
 	if to < 0 {
+		return
+	}
+	h.sent++
+	if net.hot[to].status != int32(StatusRunning) {
+		net.dropped++ // dead link: see sendOnLink
+		return
+	}
+	net.pushPending(pendSlot{int64(from)<<32 | int64(to), value})
+}
+
+// SendTo implements Backend: enqueue towards a specific neighbour.
+func (net *Network) SendTo(from, to ProcID, value int64) {
+	for _, l := range net.outLinks[from] {
+		if net.links[l].to == to {
+			net.sendOnLink(from, l, to, value)
+			return
+		}
+	}
+}
+
+// sendOnLink is the general enqueue behind SendTo and Send: it reports the
+// send to the tracer and, off the FIFO schedule, queues the payload on its
+// link and records the link index as the pending entry's metadata.
+func (net *Network) sendOnLink(from ProcID, linkIdx int, to ProcID, value int64) {
+	h := &net.hot[from]
+	if h.status != int32(StatusRunning) {
 		return
 	}
 	h.sent++
@@ -425,78 +478,48 @@ func (net *Network) Send(from ProcID, value int64) {
 		net.dropped++
 		return
 	}
-	if net.schedKind != schedFIFO {
-		net.links[net.outLink[from]].push(value)
-		net.pushPending(int64(net.outLink[from]), value)
-		return
-	}
-	if net.pendTail-net.pendHead == len(net.pend) {
-		net.growPending()
-	}
-	net.pend[net.pendTail&(len(net.pend)-1)] = pendSlot{int64(from)<<32 | int64(to), value}
-	net.pendTail++
-}
-
-// SendTo implements Backend: enqueue towards a specific neighbour.
-func (net *Network) SendTo(from, to ProcID, value int64) {
-	for _, l := range net.outLinks[from] {
-		if net.links[l].to == to {
-			net.sendOnLink(from, l, to, value)
-			return
-		}
-	}
-}
-
-// sendOnLink is the generic enqueue used by SendTo; the default-link Send
-// carries its own fused copy of this logic.
-func (net *Network) sendOnLink(from ProcID, linkIdx int, to ProcID, value int64) {
-	h := &net.hot[from]
-	if h.status != int32(StatusRunning) {
-		return
-	}
-	h.sent++
-	if net.tracer != nil {
-		net.tracer.OnSend(from, int(h.sent), to, value)
-	}
-	if net.hot[to].status != int32(StatusRunning) {
-		// Dead link: see Send.
-		net.dropped++
-		return
-	}
 	meta := int64(from)<<32 | int64(to)
 	if net.schedKind != schedFIFO {
 		net.links[linkIdx].push(value)
 		meta = int64(linkIdx)
 	}
-	net.pushPending(meta, value)
+	net.pushPending(pendSlot{meta, value})
 }
 
-// pushPending appends one undelivered message to the pending ring, growing
-// the backing slice (doubling) when full.
-func (net *Network) pushPending(meta int64, value int64) {
-	if net.pendTail-net.pendHead == len(net.pend) {
+// pushPending appends one undelivered message to the pending ring. It is the
+// ring's only push, and it is small enough to inline into send, so an
+// untraced FIFO send pays a single call frame: the room check reads one
+// field, and everything else happens in growPending.
+func (net *Network) pushPending(slot pendSlot) {
+	if net.pendTail == net.pendStop {
 		net.growPending()
 	}
-	net.pend[net.pendTail&(len(net.pend)-1)] = pendSlot{meta, value}
+	net.pend[net.pendTail&net.pendMask] = slot
 	net.pendTail++
 }
 
-// growPending doubles the pending ring without rebasing pendHead or
+// growPending runs when a push reaches pendStop. If deliveries have freed
+// slots since pendStop was set, it only moves pendStop up to the ring's
+// true limit. Otherwise it doubles the ring without rebasing pendHead or
 // pendTail: the counters stay absolute across growth because pendHead
 // doubles as the execution's step count (and the step-limit check), so the
 // live entries are re-slotted at their absolute positions under the new
 // mask instead of being compacted to the front.
 func (net *Network) growPending() {
+	if net.pendTail-net.pendHead < len(net.pend) {
+		net.pendStop = net.pendHead + len(net.pend)
+		return
+	}
 	newCap := len(net.pend) * 2
 	if newCap == 0 {
 		newCap = 64
 	}
 	grown := make([]pendSlot, newCap)
-	oldMask := len(net.pend) - 1
 	for i := net.pendHead; i < net.pendTail; i++ {
-		grown[i&(newCap-1)] = net.pend[i&oldMask]
+		grown[i&(newCap-1)] = net.pend[i&net.pendMask]
 	}
-	net.pend = grown
+	net.pend, net.pendMask = grown, newCap-1
+	net.pendStop = net.pendHead + newCap
 }
 
 // Terminate implements Backend.
@@ -528,11 +551,10 @@ func (net *Network) pendingCount() int { return net.pendTail - net.pendHead }
 // schedulers tolerate (they do not rely on the residual order) and which
 // reproduces the historical LIFO delivery sequence exactly.
 func (net *Network) popPending(offset int) int {
-	mask := len(net.pend) - 1
-	idx := (net.pendHead + offset) & mask
+	idx := (net.pendHead + offset) & net.pendMask
 	l := net.pend[idx].meta
 	if offset != 0 {
-		net.pend[idx] = net.pend[net.pendHead&mask]
+		net.pend[idx] = net.pend[net.pendHead&net.pendMask]
 	}
 	net.pendHead++
 	return int(l)
@@ -569,7 +591,7 @@ func (net *Network) Run() Result {
 // processor — the hot loop maintains neither.
 func (net *Network) runFIFO() {
 	for net.pendTail > net.pendHead && net.terminated < net.n && net.pendHead < net.stepLimit {
-		slot := net.pend[net.pendHead&(len(net.pend)-1)]
+		slot := net.pend[net.pendHead&net.pendMask]
 		net.pendHead++
 		from, to := ProcID(slot.meta>>32), ProcID(slot.meta&0xffffffff)
 		ht := &net.hot[to]

@@ -16,12 +16,25 @@ func splitMix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// mix64Offset separates Mix64's second argument from its keyed first one.
+const mix64Offset = 0x632be59bd9b4e019
+
 // Mix64 combines two 64-bit values into one with strong avalanche. It is the
 // key-derivation primitive shared by the simulator and the random-function
-// substrate.
+// substrate. It spells both halves out instead of calling Mix64Key and
+// Mix64Keyed: the nested calls would raise its inlining cost enough to push
+// NewStream past the inliner's budget.
 func Mix64(a, b uint64) uint64 {
-	return splitMix64(splitMix64(a) ^ (b + 0x632be59bd9b4e019))
+	return splitMix64(splitMix64(a) ^ (b + mix64Offset))
 }
+
+// Mix64Key is the half of Mix64 that depends on its first argument alone,
+// for callers that mix many values under one key: Mix64(a, b) ==
+// Mix64Keyed(Mix64Key(a), b) for every a and b.
+func Mix64Key(a uint64) uint64 { return splitMix64(a) }
+
+// Mix64Keyed finishes Mix64 from a key precomputed by Mix64Key.
+func Mix64Keyed(key, b uint64) uint64 { return splitMix64(key ^ (b + mix64Offset)) }
 
 // streamKey is the single copy of the processor-stream derivation recipe,
 // shared by DeriveRand (fresh construction) and Context.Reseed (arena

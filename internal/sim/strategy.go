@@ -47,11 +47,14 @@ type Backend interface {
 type Context struct {
 	backend Backend
 	// net is the devirtualized backend: non-nil exactly when backend is the
-	// event-driven *Network, letting the per-message primitives (Send,
-	// Terminate, …) call concrete methods the compiler can inline instead
-	// of paying an interface dispatch on the hottest path in the
-	// repository. Foreign backends (the conc runtime, test doubles) leave
-	// it nil and take the interface route.
+	// event-driven *Network, letting the primitives call concrete methods
+	// instead of paying an interface dispatch on the hottest path in the
+	// repository. Send, the per-message primitive, is itself inlined into
+	// the calling strategy: its one call, Network.send, pushes an untraced
+	// FIFO message onto the pending ring in that frame. The other
+	// primitives make one direct call into the network. Foreign backends
+	// (the conc runtime, test doubles) leave net nil and take the
+	// interface route.
 	net  *Network
 	self ProcID
 	rng  Stream
@@ -90,13 +93,10 @@ func (c *Context) Rand() *Stream { return &c.rng }
 // outgoing links, the first configured link is used; use SendTo on general
 // graphs. Sends after termination are ignored (a terminated processor is
 // silent).
-func (c *Context) Send(value int64) {
-	if c.net != nil {
-		c.net.Send(c.self, value)
-		return
-	}
-	c.backend.Send(c.self, value)
-}
+//
+// Send is a single call to Network.send so that it inlines into every
+// strategy; `make inline-check` fails when it stops inlining.
+func (c *Context) Send(value int64) { c.net.send(c, value) }
 
 // SendTo enqueues value on the link from this processor to the given
 // neighbour. If no such link exists the message is silently dropped, which
