@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race check docs-check inline-check bench bench-tagged bench-gate certify-smoke certify-golden fleet-smoke dsl-smoke profile
+.PHONY: build test race check docs-check inline-check perfbench-check bench bench-tagged bench-gate service-smoke certify-smoke certify-golden fleet-smoke dsl-smoke profile
 
 build:
 	$(GO) build ./...
@@ -45,7 +45,16 @@ inline-check:
 		{ echo "inline-check: sim.(*Network).pushPending is no longer inlinable" >&2; exit 1; }
 	@echo "inline-check: Context.Send and the pending-ring push inline"
 
-check: build docs-check inline-check test race
+# perfbench-check vets and tests the repo benchmark (BENCHMARK.json).
+# perfbench/ is its own module, so `go build ./...` never compiles it: a
+# service API change that broke the benchmark would otherwise pass every
+# other check and fail only when the benchmark runs. CI runs this in the verify
+# job.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+
+check: build docs-check inline-check perfbench-check test race
 
 # service-smoke is the daemon's end-to-end acceptance run: build the real
 # fleserve binary, boot it on an ephemeral port, drive a 100-job concurrent

@@ -113,23 +113,6 @@ func TestConstructorAPISurface(t *testing.T) {
 	if dist.Trials != 16 {
 		t.Fatalf("attack batch ran %d trials, want 16", dist.Trials)
 	}
-
-	// The deprecated positional wrappers stay thin: bit-identical to the
-	// spec-struct entry point.
-	legacy, err := AttackTrialsOpts(context.Background(), 8, NewBasicLead(),
-		NewBasicSingleAttack(), 1, 3, 16, TrialOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Trials != dist.Trials || legacy.Failures() != dist.Failures() {
-		t.Fatalf("deprecated wrapper diverged: %d/%d trials, %d/%d failures",
-			legacy.Trials, dist.Trials, legacy.Failures(), dist.Failures())
-	}
-	for i := range dist.Counts {
-		if legacy.Counts[i] != dist.Counts[i] {
-			t.Fatalf("deprecated wrapper count[%d] = %d, want %d", i, legacy.Counts[i], dist.Counts[i])
-		}
-	}
 }
 
 // TestCertifyAllCoversCatalog pins the catalog-wide certification entry

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -74,7 +75,8 @@ func main() {
 
 	const trials = 20
 	for _, ex := range gallery {
-		dist, err := repro.AttackTrials(ex.n, ex.protocol, ex.attack, ex.target, 1, trials)
+		spec := repro.AttackSpec{N: ex.n, Protocol: ex.protocol, Attack: ex.attack, Target: ex.target, Seed: 1}
+		dist, err := repro.RunAttackTrials(context.Background(), spec, trials, repro.TrialOptions{})
 		if err != nil {
 			log.Fatalf("%s: %v", ex.name, err)
 		}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -75,7 +76,8 @@ func main() {
 		fmt.Printf("\nasync ring (n=%d), k = 2 ≤ √n/10: attack planning fails (Theorem 6.1)\n", ringN)
 	}
 	attack := repro.NewPhaseRushingAttack(phase, 0) // k = √n+3
-	dist, err := repro.AttackTrials(ringN, phase, attack, 7, 1, 10)
+	spec := repro.AttackSpec{N: ringN, Protocol: phase, Attack: attack, Target: 7, Seed: 1}
+	dist, err := repro.RunAttackTrials(context.Background(), spec, 10, repro.TrialOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

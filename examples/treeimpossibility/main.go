@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -44,7 +45,8 @@ func main() {
 		n, part.Parts, part.MaxPartSize(), quotient.N)
 
 	// Step 3: the dictating part, executed against A-LEADuni.
-	dist, err := repro.AttackTrials(n, repro.NewALead(), repro.NewHalfRingAttack(), 2, 1, 25)
+	spec := repro.AttackSpec{N: n, Protocol: repro.NewALead(), Attack: repro.NewHalfRingAttack(), Target: 2, Seed: 1}
+	dist, err := repro.RunAttackTrials(context.Background(), spec, 25, repro.TrialOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // wins — gain is strictly negative.
 func TestAbortForcesFailNeverProfits(t *testing.T) {
 	for _, k := range []int{1, 2, 5} {
-		dist, err := ring.AttackTrials(16, alead.New(), Abort{K: k}, 2, 7, 50)
+		dist, err := runAttack(ring.AttackSpec{N: 16, Protocol: alead.New(), Attack: Abort{K: k}, Target: 2, Seed: 7}, 50)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}

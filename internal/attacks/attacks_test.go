@@ -1,6 +1,7 @@
 package attacks
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/protocols/alead"
@@ -9,10 +10,15 @@ import (
 	"repro/internal/sim"
 )
 
+// runAttack runs one attack batch on every CPU.
+func runAttack(spec ring.AttackSpec, trials int) (*ring.Distribution, error) {
+	return ring.RunAttackTrials(context.Background(), spec, trials, ring.TrialOptions{})
+}
+
 // forceRate measures how often an attack elects its target over trials.
 func forceRate(t *testing.T, protocol ring.Protocol, attack ring.Attack, n int, target int64, trials int) float64 {
 	t.Helper()
-	dist, err := ring.AttackTrials(n, protocol, attack, target, 1234, trials)
+	dist, err := runAttack(ring.AttackSpec{N: n, Protocol: protocol, Attack: attack, Target: target, Seed: 1234}, trials)
 	if err != nil {
 		t.Fatalf("%s on %s (n=%d): %v", attack.Name(), protocol.Name(), n, err)
 	}
@@ -129,7 +135,7 @@ func TestRandomizedNeverElectsOtherLeader(t *testing.T) {
 	// Even when the randomized attack fails, it must fail to FAIL, never
 	// hand the election to a different leader.
 	const n = 144
-	dist, err := ring.AttackTrials(n, alead.New(), Randomized{}, 9, 99, 60)
+	dist, err := runAttack(ring.AttackSpec{N: n, Protocol: alead.New(), Attack: Randomized{}, Target: 9, Seed: 99}, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +274,7 @@ func TestWakeupRushingStillControls(t *testing.T) {
 	for _, n := range []int{64, 216} {
 		attack := WakeupRushing{Inner: Rushing{Place: PlaceStaggered}}
 		proto := attack.Protocol(n)
-		dist, err := ring.AttackTrials(n, proto, attack, 5, 21, 10)
+		dist, err := runAttack(ring.AttackSpec{N: n, Protocol: proto, Attack: attack, Target: 5, Seed: 21}, 10)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,7 @@ func TestPhaseRushingControlsPhaseLead(t *testing.T) {
 		proto := phaselead.NewDefault()
 		attack := PhaseRushing{Protocol: proto}
 		for _, target := range []int64{1, int64(n / 3)} {
-			dist, err := ring.AttackTrials(n, proto, attack, target, 42, 10)
+			dist, err := runAttack(ring.AttackSpec{N: n, Protocol: proto, Attack: attack, Target: target, Seed: 42}, 10)
 			if err != nil {
 				t.Fatalf("n=%d: %v", n, err)
 			}
@@ -59,7 +59,7 @@ func TestPhaseRushingNoSteerFailsUnderRandomFunction(t *testing.T) {
 	)
 	proto := phaselead.NewDefault()
 	attack := PhaseRushing{Protocol: proto, K: k, Mode: PhaseNoSteer}
-	dist, err := ring.AttackTrials(n, proto, attack, target, 7, trials)
+	dist, err := runAttack(ring.AttackSpec{N: n, Protocol: proto, Attack: attack, Target: target, Seed: 7}, trials)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestPhaseRushingChaseSavesValidityNotBias(t *testing.T) {
 	)
 	proto := phaselead.NewDefault()
 	attack := PhaseRushing{Protocol: proto, K: k, Mode: PhaseChase}
-	dist, err := ring.AttackTrials(n, proto, attack, target, 17, trials)
+	dist, err := runAttack(ring.AttackSpec{N: n, Protocol: proto, Attack: attack, Target: target, Seed: 17}, trials)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestSumPhaseAttackControlsSumProtocol(t *testing.T) {
 	// Appendix E.4: four colluders control the sum-output phase protocol.
 	for _, n := range []int{24, 60, 121, 400} {
 		proto := sumphase.New()
-		dist, err := ring.AttackTrials(n, proto, SumPhase{}, 5, 3, 10)
+		dist, err := runAttack(ring.AttackSpec{N: n, Protocol: proto, Attack: SumPhase{}, Target: 5, Seed: 3}, 10)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -148,7 +148,7 @@ func TestSumPhaseAttackFailsAgainstRandomFunction(t *testing.T) {
 		trials = 120
 	)
 	proto := phaselead.NewDefault()
-	dist, err := ring.AttackTrials(n, proto, SumPhase{}, target, 11, trials)
+	dist, err := runAttack(ring.AttackSpec{N: n, Protocol: proto, Attack: SumPhase{}, Target: target, Seed: 11}, trials)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestPhaseRushingBestEffortBelowThreshold(t *testing.T) {
 	)
 	proto := phaselead.NewDefault()
 	attack := PhaseRushing{Protocol: proto, K: k, Mode: PhaseBestEffort}
-	dist, err := ring.AttackTrials(n, proto, attack, target, 13, trials)
+	dist, err := runAttack(ring.AttackSpec{N: n, Protocol: proto, Attack: attack, Target: target, Seed: 13}, trials)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func (cfg Config) coinOpts() cointoss.Options {
 // The experiments' trial batches are thin lookups into the scenario
 // registry: the registry routes through the same engine with the same seed
 // derivation, so the tables are byte-identical to the former direct
-// ring.TrialsOpts/AttackTrialsOpts calls.
+// ring.TrialsOpts/RunAttackTrials calls.
 func (cfg Config) scenarioDist(name string, seed int64, o scenario.Opts) (*ring.Distribution, error) {
 	o.Workers = cfg.Workers
 	out, err := scenario.MustFind(name).RunOpts(context.Background(), seed, o)

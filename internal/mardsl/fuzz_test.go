@@ -81,7 +81,8 @@ func FuzzMARCompileRun(f *testing.F) {
 			if target == 0 {
 				target = 2
 			}
-			return ring.AttackTrialsOpts(ctx, 9, basiclead.New(), atk, target, 7, 6, opts)
+			spec := ring.AttackSpec{N: 9, Protocol: basiclead.New(), Attack: atk, Target: target, Seed: 7}
+			return ring.RunAttackTrials(ctx, spec, 6, opts)
 		}
 		a, err := run()
 		if err != nil {

@@ -1,6 +1,7 @@
 package mardsl
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -88,11 +89,12 @@ func TestGeneratedAdversariesRunAgainstBasicLead(t *testing.T) {
 			t.Fatal(err)
 		}
 		// n=10 covers every generated placement (≤5) and target (≤9).
-		a, err := ring.AttackTrials(10, basiclead.New(), atk, prog.Defaults.Target, 7, 40)
+		spec := ring.AttackSpec{N: 10, Protocol: basiclead.New(), Attack: atk, Target: prog.Defaults.Target, Seed: 7}
+		a, err := ring.RunAttackTrials(context.Background(), spec, 40, ring.TrialOptions{})
 		if err != nil {
 			t.Fatalf("adversary seed %d: %v", seed, err)
 		}
-		b, err := ring.AttackTrials(10, basiclead.New(), atk, prog.Defaults.Target, 7, 40)
+		b, err := ring.RunAttackTrials(context.Background(), spec, 40, ring.TrialOptions{})
 		if err != nil {
 			t.Fatalf("adversary seed %d: %v", seed, err)
 		}

@@ -97,7 +97,7 @@ func sequentialTrials(spec Spec, trials int) (*Distribution, error) {
 	return dist, nil
 }
 
-// sequentialAttackTrials is the pre-engine ring.AttackTrials loop.
+// sequentialAttackTrials is the pre-engine attack-trial loop.
 func sequentialAttackTrials(n int, protocol Protocol, attack Attack, target int64, baseSeed int64, trials int) (*Distribution, error) {
 	dist := NewDistribution(n)
 	for t := 0; t < trials; t++ {
@@ -145,9 +145,9 @@ func TestAttackTrialsMatchSequentialBaselineAtAnyWorkerCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec := AttackSpec{N: n, Protocol: testProto{}, Attack: fixedAttack{}, Target: target, Seed: seed}
 	for _, workers := range []int{1, 4, 8} {
-		got, err := AttackTrialsOpts(context.Background(), n, testProto{}, fixedAttack{}, target, seed, trials,
-			TrialOptions{Workers: workers})
+		got, err := RunAttackTrials(context.Background(), spec, trials, TrialOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

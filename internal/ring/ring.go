@@ -64,7 +64,7 @@ func (d *Deviation) Validate(n int) error {
 // Attack plans an adversarial deviation against a protocol on a ring of size
 // n, trying to force the election of target.
 //
-// AttackTrials plans attacks in parallel, so Plan must be safe for
+// RunAttackTrials plans attacks in parallel, so Plan must be safe for
 // concurrent calls: derive all randomness from the seed argument and build
 // a fresh Deviation each time, without mutating receiver state. Every
 // attack in this repository is a stateless value type.

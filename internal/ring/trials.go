@@ -288,7 +288,7 @@ func Trials(spec Spec, trials int) (*Distribution, error) {
 // opts.Workers: the interfaces make no concurrency promise, and a
 // Deviation's strategy objects are shared across every trial of the batch
 // (they must therefore fully re-establish their state in Init — prefer
-// AttackTrials, which plans a fresh deviation per trial). Everything else
+// RunAttackTrials, which plans a fresh deviation per trial). Everything else
 // in the batch is safe to shard because each trial runs on its worker's
 // private arena, whose recycled network reproduces a fresh one
 // bit-for-bit. The batch runs chunked (engine.RunBatch): Batchable
@@ -320,9 +320,9 @@ func (e *PlanError) Error() string { return fmt.Sprintf("plan %s (n=%d): %v", e.
 func (e *PlanError) Unwrap() error { return e.Err }
 
 // AttackSpec describes one attack-trial configuration: the batched
-// counterpart of Spec, naming the pieces AttackTrials used to take
-// positionally. The zero value is not runnable — N, Protocol and Attack are
-// required; Target and Seed default to 0 like their Spec counterparts.
+// counterpart of Spec. The zero value is not runnable — N, Protocol and
+// Attack are required; Target and Seed default to 0 like their Spec
+// counterparts.
 type AttackSpec struct {
 	// N is the ring size.
 	N int
@@ -350,29 +350,7 @@ func RunAttackTrials(ctx context.Context, spec AttackSpec, trials int, opts Tria
 	return engine.RunBatch(ctx, trials, job, distSink(spec.N), opts.engineOptions())
 }
 
-// AttackTrials runs an attack batch with default options.
-//
-// Deprecated: use RunAttackTrials with an AttackSpec; this positional form
-// is retained only so recorded experiment goldens keep their call sites. It
-// is a thin wrapper with bit-identical results.
-func AttackTrials(n int, protocol Protocol, attack Attack, target int64, baseSeed int64, trials int) (*Distribution, error) {
-	return RunAttackTrials(context.Background(),
-		AttackSpec{N: n, Protocol: protocol, Attack: attack, Target: target, Seed: baseSeed},
-		trials, TrialOptions{})
-}
-
-// AttackTrialsOpts is AttackTrials with a context and engine options.
-//
-// Deprecated: use RunAttackTrials with an AttackSpec; this positional form
-// is retained only so recorded experiment goldens keep their call sites. It
-// is a thin wrapper with bit-identical results.
-func AttackTrialsOpts(ctx context.Context, n int, protocol Protocol, attack Attack, target int64, baseSeed int64, trials int, opts TrialOptions) (*Distribution, error) {
-	return RunAttackTrials(ctx,
-		AttackSpec{N: n, Protocol: protocol, Attack: attack, Target: target, Seed: baseSeed},
-		trials, opts)
-}
-
-// AttackChunkJob returns the batched engine job behind AttackTrialsOpts:
+// AttackChunkJob returns the batched engine job behind RunAttackTrials:
 // trial t plans the attack with its derived seed and runs it against the
 // protocol. Exposing the job lets remote claimants (the fleet's worker
 // nodes) run arbitrary sub-ranges of an attack batch through

@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -118,14 +119,16 @@ func (passthrough) Receive(ctx *sim.Context, _ sim.ProcID, v int64) {
 }
 
 func TestAttackTrials(t *testing.T) {
-	dist, err := AttackTrials(8, testProto{}, fixedAttack{}, 3, 5, 30)
+	spec := AttackSpec{N: 8, Protocol: testProto{}, Attack: fixedAttack{}, Target: 3, Seed: 5}
+	dist, err := RunAttackTrials(context.Background(), spec, 30, TrialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dist.Trials != 30 {
 		t.Errorf("trials = %d", dist.Trials)
 	}
-	if _, err := AttackTrials(8, testProto{}, fixedAttack{fail: true}, 3, 5, 5); err == nil {
+	spec.Attack = fixedAttack{fail: true}
+	if _, err := RunAttackTrials(context.Background(), spec, 5, TrialOptions{}); err == nil {
 		t.Error("plan failure not propagated")
 	}
 }

@@ -46,7 +46,7 @@ func ringHonest(proto ring.Protocol, sched string) (chunksFunc, singleFunc) {
 
 // ringFamilyAttack runs a registered deviation family's attack against a
 // ring protocol at the resolved parameters (coalition size K, steering
-// mode). The batch is exactly ring.AttackTrialsOpts, so registry runs
+// mode). The batch is exactly ring.RunAttackTrials, so registry runs
 // reproduce the harness experiments byte-identically — and equilibrium
 // sweeps, which plan through the very same family, reproduce the registry
 // runs.

@@ -405,7 +405,7 @@ func (s Scenario) feasibleDeviation(cand DeviationCandidate, n int) bool {
 // scenario's configuration: the identity candidate reproduces the honest
 // run (the scenario itself for honest entries, the underlying protocol for
 // ring attack entries), a family candidate routes through
-// ring.AttackTrialsOpts exactly as the registered attack scenarios do —
+// ring.RunAttackTrials exactly as the registered attack scenarios do —
 // same seed derivation, same engine — so a sweep restricted to a scenario's
 // own candidate is byte-identical to the scenario's run, and a self
 // candidate re-runs the scenario's own run function at the candidate's

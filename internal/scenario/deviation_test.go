@@ -13,7 +13,7 @@ import (
 // TestDeviationDifferentialMatchesScenarioRun is the refactor pin: for
 // every attack scenario, the equilibrium sweep restricted to the scenario's
 // own registered deviation must reproduce the scenario's run — and hence
-// the original ring.AttackTrials batches — byte-identically: same seed ⇒
+// direct ring.RunAttackTrials batches — byte-identically: same seed ⇒
 // same Distribution, counter for counter.
 func TestDeviationDifferentialMatchesScenarioRun(t *testing.T) {
 	const seed, trials = 20180516, 24
@@ -50,7 +50,7 @@ func TestDeviationDifferentialMatchesScenarioRun(t *testing.T) {
 }
 
 // TestDeviationMatchesDirectAttackTrials pins the family planner against a
-// direct ring.AttackTrials batch built from the attacks package, bypassing
+// direct ring.RunAttackTrials batch built from the attacks package, bypassing
 // the catalog entirely.
 func TestDeviationMatchesDirectAttackTrials(t *testing.T) {
 	const seed, trials, n = 99, 32, 32
@@ -60,12 +60,13 @@ func TestDeviationMatchesDirectAttackTrials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ring.AttackTrials(n, alead.New(), attacks.Rushing{Place: attacks.PlaceEqual, K: 6}, 3, seed, trials)
+	spec := ring.AttackSpec{N: n, Protocol: alead.New(), Attack: attacks.Rushing{Place: attacks.PlaceEqual, K: 6}, Target: 3, Seed: seed}
+	want, err := ring.RunAttackTrials(context.Background(), spec, trials, ring.TrialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("family-planned batch diverges from direct AttackTrials:\n got %+v\nwant %+v", got, want)
+		t.Errorf("family-planned batch diverges from direct RunAttackTrials:\n got %+v\nwant %+v", got, want)
 	}
 }
 

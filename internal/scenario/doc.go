@@ -21,7 +21,7 @@
 //     engine (internal/engine): for a fixed seed the outcome is bit-for-bit
 //     identical at any worker count.
 //   - Ring scenarios reuse the exact seed derivation of
-//     ring.Trials/AttackTrials (ring.TrialSeed), so a registry run
+//     ring.Trials/RunAttackTrials (ring.TrialSeed), so a registry run
 //     reproduces the corresponding harness experiment byte-identically.
 //   - Trial jobs run their executions on the engine's per-worker arenas
 //     (ring.RunArena, fullnet/treeproto RunArena, arena-recycled random

@@ -139,7 +139,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 
 // TestRegistryMatchesDirectTrialPath pins the byte-identical contract the
 // harness refactor relies on: a registry run of a ring scenario reproduces
-// the exact distribution of the direct ring.TrialsOpts / AttackTrialsOpts
+// the exact distribution of the direct ring.TrialsOpts / RunAttackTrials
 // calls the experiments used to make.
 func TestRegistryMatchesDirectTrialPath(t *testing.T) {
 	ctx := context.Background()
@@ -163,13 +163,13 @@ func TestRegistryMatchesDirectTrialPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantA, err := ring.AttackTrialsOpts(ctx, 64, alead.New(),
-		attacks.Rushing{Place: attacks.PlaceEqual}, 3, seed, 10, ring.TrialOptions{})
+	spec := ring.AttackSpec{N: 64, Protocol: alead.New(), Attack: attacks.Rushing{Place: attacks.PlaceEqual}, Target: 3, Seed: seed}
+	wantA, err := ring.RunAttackTrials(ctx, spec, 10, ring.TrialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotA.Dist, wantA) {
-		t.Errorf("attack registry path diverges from ring.AttackTrialsOpts:\n  registry: %v\n  direct:   %v", gotA.Dist, wantA)
+		t.Errorf("attack registry path diverges from ring.RunAttackTrials:\n  registry: %v\n  direct:   %v", gotA.Dist, wantA)
 	}
 }
 

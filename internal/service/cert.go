@@ -1,11 +1,7 @@
 package service
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/equilibrium"
 	"repro/internal/scenario"
@@ -43,296 +39,65 @@ func (r CertRequest) options(version string) equilibrium.Options {
 	}
 }
 
-// CertState is the wire representation of a certification job at one
-// instant. Result holds the exact cached certificate bytes, so byte
-// identity survives the round trip through the API.
-type CertState struct {
-	ID       string                `json:"id"`
-	Scenario string                `json:"scenario"`
-	Seed     int64                 `json:"seed"`
-	Status   JobStatus             `json:"status"`
-	Cached   bool                  `json:"cached,omitempty"`
-	Deduped  int                   `json:"deduped,omitempty"`
-	Progress *equilibrium.Progress `json:"progress,omitempty"`
-	Error    string                `json:"error,omitempty"`
-	Result   json.RawMessage       `json:"result,omitempty"`
+func (r CertRequest) ident() (string, int64) { return r.Scenario, r.Seed }
+
+// key is the certificate's content address, equilibrium.Key.
+func (r CertRequest) key(sc scenario.Scenario, version string) string {
+	return equilibrium.Key(sc, r.Seed, r.options(version))
 }
 
-// CertJob is one scheduled certification sweep; like Job, its identity is
-// its content address (equilibrium.Key), so identical requests share one
-// computation.
-type CertJob struct {
-	// ID is the certificate's content address.
-	ID string
-	// Req is the request that first created the job.
-	Req CertRequest
-
-	ctx    context.Context
-	cancel context.CancelFunc
-	done   chan struct{}
-
-	mu      sync.Mutex
-	status  JobStatus
-	cached  bool
-	deduped int
-	result  []byte
-	errMsg  string
-	prog    equilibrium.Progress
-	hasProg bool
-}
-
-// Done returns a channel closed when the job reaches a terminal state.
-func (j *CertJob) Done() <-chan struct{} { return j.done }
-
-// State captures the job's current wire state.
-func (j *CertJob) State() CertState {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := CertState{
-		ID:       j.ID,
-		Scenario: j.Req.Scenario,
-		Seed:     j.Req.Seed,
-		Status:   j.status,
-		Cached:   j.cached,
-		Deduped:  j.deduped,
-		Error:    j.errMsg,
-	}
-	if j.hasProg {
-		prog := j.prog
-		st.Progress = &prog
-	}
-	if j.result != nil {
-		st.Result = json.RawMessage(j.result)
-	}
-	return st
-}
-
-// finish moves the job to a terminal state exactly once.
-func (j *CertJob) finish(status JobStatus, result []byte, errMsg string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.status.Terminal() {
-		return
-	}
-	j.status = status
-	j.result = result
-	j.errMsg = errMsg
-	close(j.done)
-}
-
-// SubmitCerts registers a batch of certification requests and returns one
-// *CertJob per request, in order, with exactly the dedup semantics of
-// Submit: identical requests — in this batch, in flight, or already cached —
-// resolve to the same job, and the batch is rejected whole on any invalid
-// request.
-func (s *Scheduler) SubmitCerts(reqs []CertRequest) ([]*CertJob, error) {
-	if len(reqs) == 0 {
-		return nil, errors.New("service: empty certification batch")
-	}
-	scs := make([]scenario.Scenario, len(reqs))
-	for i, req := range reqs {
-		sc, ok := scenario.Find(req.Scenario)
-		if !ok {
-			return nil, fmt.Errorf("service: cert %d: no registered scenario %q", i, req.Scenario)
-		}
-		if err := s.validateCert(sc, req); err != nil {
-			return nil, fmt.Errorf("service: cert %d: %w", i, err)
-		}
-		scs[i] = sc
-	}
-	out := make([]*CertJob, len(reqs))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.baseCtx.Err() != nil {
-		return nil, errors.New("service: scheduler is closed")
-	}
-	for i, req := range reqs {
-		s.submitted.Add(1)
-		s.certsSubmitted.Add(1)
-		id := equilibrium.Key(scs[i], req.Seed, req.options(s.version))
-		if j, ok := s.certs[id]; ok {
-			st := func() JobStatus { j.mu.Lock(); defer j.mu.Unlock(); return j.status }()
-			switch {
-			case st == StatusDone:
-				s.hitsCache.Add(1)
-				out[i] = j
-				continue
-			case !st.Terminal():
-				s.hitsDedup.Add(1)
-				j.mu.Lock()
-				j.deduped++
-				j.mu.Unlock()
-				out[i] = j
-				continue
-			}
-			// Failed or canceled: schedule a fresh run under the same
-			// identity.
-		}
-		if b, ok := s.cacheGetLocked(id); ok {
-			j := s.newCertJob(id, req)
-			j.cached = true
-			j.status = StatusDone
-			j.result = b
-			close(j.done)
-			j.cancel()
-			s.certs[id] = j
-			s.hitsCache.Add(1)
-			out[i] = j
-			continue
-		}
-		j := s.newCertJob(id, req)
-		s.certs[id] = j
-		s.runsFresh.Add(1)
-		s.wg.Add(1)
-		go s.runCert(j, scs[i])
-		out[i] = j
-	}
-	return out, nil
-}
-
-// validateCert applies the submit-time checks for a certification request.
+// validate applies the submit-time checks for a certification request.
 // A sweep occupies one engine slot for its whole duration, so the
 // MaxTrials bound applies to the sweep's worst case — the per-candidate
 // budget times the enumerated space — not to one candidate alone.
-func (s *Scheduler) validateCert(sc scenario.Scenario, req CertRequest) error {
+func (r CertRequest) validate(sc scenario.Scenario, maxTrials int) error {
 	n := sc.N
-	if req.N > 0 {
-		n = req.N
+	if r.N > 0 {
+		n = r.N
 	}
 	switch {
-	case req.N < 0 || req.Trials < 0 || req.MinTrials < 0 || req.MaxK < 0:
+	case r.N < 0 || r.Trials < 0 || r.MinTrials < 0 || r.MaxK < 0:
 		return fmt.Errorf("%s: negative override", sc.Name)
-	case req.Epsilon < 0 || req.Epsilon >= 1 || req.Alpha < 0 || req.Alpha >= 1:
+	case r.Epsilon < 0 || r.Epsilon >= 1 || r.Alpha < 0 || r.Alpha >= 1:
 		return fmt.Errorf("%s: epsilon/alpha out of [0,1)", sc.Name)
 	case n < sc.MinN:
 		return fmt.Errorf("%s needs n ≥ %d, got %d", sc.Name, sc.MinN, n)
-	case req.Trials > s.cfg.MaxTrials:
+	case r.Trials > maxTrials:
 		// Checked first so the sweep-total product below cannot overflow.
-		return fmt.Errorf("%s: %d trials exceeds the per-job bound %d", sc.Name, req.Trials, s.cfg.MaxTrials)
+		return fmt.Errorf("%s: %d trials exceeds the per-job bound %d", sc.Name, r.Trials, maxTrials)
 	}
-	trials := req.Trials
+	trials := r.Trials
 	if trials <= 0 {
 		trials = equilibrium.DefaultTrials
 	}
-	candidates := len(sc.DeviationSpace(scenario.Opts{N: req.N, Trials: req.Trials, K: 0}, req.MaxK, nil))
+	candidates := len(sc.DeviationSpace(scenario.Opts{N: r.N, Trials: r.Trials, K: 0}, r.MaxK, nil))
 	if candidates < 1 {
 		candidates = 1
 	}
-	if total := trials * candidates; total > s.cfg.MaxTrials {
+	if total := trials * candidates; total > maxTrials {
 		return fmt.Errorf("%s: sweep of %d candidates × %d trials = %d exceeds the per-job bound %d",
-			sc.Name, candidates, trials, total, s.cfg.MaxTrials)
+			sc.Name, candidates, trials, total, maxTrials)
 	}
 	return nil
 }
 
-// newCertJob builds a queued certification job wired to the scheduler's
-// lifetime.
-func (s *Scheduler) newCertJob(id string, req CertRequest) *CertJob {
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	return &CertJob{
-		ID:     id,
-		Req:    req,
-		ctx:    ctx,
-		cancel: cancel,
-		done:   make(chan struct{}),
-		status: StatusQueued,
-	}
+// certWork picks a fresh sweep's work: runCert, holding one engine slot
+// for the sweep's whole duration exactly like a trial job.
+func (s *Scheduler) certWork(scenario.Scenario) (work[CertRequest, equilibrium.Progress], bool) {
+	return s.runCert, true
 }
 
-// retireCert records a failed or canceled certification job in the bounded
-// terminal list, mirroring retire.
-func (s *Scheduler) retireCert(j *CertJob) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.retiredCerts = append(s.retiredCerts, j)
-	for len(s.retiredCerts) > s.retiredCap {
-		old := s.retiredCerts[0]
-		s.retiredCerts[0] = nil
-		s.retiredCerts = s.retiredCerts[1:]
-		if cur, ok := s.certs[old.ID]; ok && cur == old {
-			delete(s.certs, old.ID)
-		}
-	}
-}
-
-// runCert executes one certification sweep on the engine, respecting the
-// Parallel bound: a sweep occupies one engine slot for its whole duration,
-// exactly like a trial job.
-func (s *Scheduler) runCert(j *CertJob, sc scenario.Scenario) {
-	defer s.wg.Done()
-	defer j.cancel()
-	select {
-	case s.sem <- struct{}{}:
-	case <-j.ctx.Done():
-		s.canceled.Add(1)
-		j.finish(StatusCanceled, nil, context.Cause(j.ctx).Error())
-		s.retireCert(j)
-		return
-	}
-	defer func() { <-s.sem }()
-	s.busy.Add(1)
-	defer s.busy.Add(-1)
-
-	j.mu.Lock()
-	j.status = StatusRunning
-	j.mu.Unlock()
-
+// runCert is the certification work: one best-response sweep, publishing
+// each finished candidate in enumeration order. Its trials count once,
+// when the candidate reports.
+func (s *Scheduler) runCert(j *CertJob, sc scenario.Scenario) (any, error) {
 	opts := j.Req.options(s.version)
 	opts.Workers = s.cfg.Workers
 	opts.Arenas = s.arenas
+	trials := 0
 	opts.Progress = func(p equilibrium.Progress) {
-		j.mu.Lock()
-		j.prog, j.hasProg = p, true
-		j.mu.Unlock()
-		s.trialsDone.Add(int64(p.Trials))
+		trials += p.Trials
+		j.publish(s, p, trials)
 	}
-	cert, err := equilibrium.Certify(j.ctx, sc, j.Req.Seed, opts)
-	switch {
-	case err != nil && (errors.Is(err, context.Canceled) || j.ctx.Err() != nil):
-		s.canceled.Add(1)
-		j.finish(StatusCanceled, nil, err.Error())
-		s.retireCert(j)
-	case err != nil:
-		s.failed.Add(1)
-		j.finish(StatusFailed, nil, err.Error())
-		s.retireCert(j)
-	default:
-		b, merr := json.Marshal(cert)
-		if merr != nil {
-			s.failed.Add(1)
-			j.finish(StatusFailed, nil, merr.Error())
-			s.retireCert(j)
-			return
-		}
-		s.cachePut(j.ID, b)
-		s.completed.Add(1)
-		j.finish(StatusDone, b, "")
-	}
-}
-
-// Cert returns the certification job with the given content address.
-func (s *Scheduler) Cert(id string) (*CertJob, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.certs[id]
-	return j, ok
-}
-
-// CancelCert cancels a queued or running certification job, with the same
-// content-addressed semantics as Cancel.
-func (s *Scheduler) CancelCert(id string) bool {
-	s.mu.Lock()
-	j, ok := s.certs[id]
-	s.mu.Unlock()
-	if !ok {
-		return false
-	}
-	j.mu.Lock()
-	terminal := j.status.Terminal()
-	j.mu.Unlock()
-	if terminal {
-		return false
-	}
-	j.cancel()
-	return true
+	return equilibrium.Certify(j.ctx, sc, j.Req.Seed, opts)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/equilibrium"
@@ -51,6 +52,19 @@ func TestCertifyEndToEnd(t *testing.T) {
 	}
 	if cert.Key != final.ID {
 		t.Errorf("certificate key %s differs from job id %s", cert.Key, final.ID)
+	}
+
+	// A plain GET /certify/{id} reads the same terminal state; an unknown
+	// id is a 404.
+	got, err := client.Cert(ctx, final.ID)
+	if err != nil {
+		t.Fatalf("get: %v", err)
+	}
+	if got.Status != StatusDone || !bytes.Equal(got.Result, final.Result) {
+		t.Errorf("GET state %s differs from the watched terminal state", got.Status)
+	}
+	if _, err := client.Cert(ctx, "deadbeef"); err == nil || !strings.Contains(err.Error(), "404") {
+		t.Errorf("unknown id: got %v, want a 404", err)
 	}
 }
 

@@ -31,19 +31,45 @@ func NewClient(baseURL string) *Client {
 // Join configuration.
 func (c *Client) BaseURL() string { return c.base }
 
-// get issues one GET and decodes the JSON body into out.
-func (c *Client) get(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+// do sends one request — body, when non-nil, as JSON — and returns the
+// response once its status is 2xx; any other status becomes an error
+// carrying the server's message. The caller drains and closes the body.
+func (c *Client) do(ctx context.Context, method, path string, body any) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		b, err := json.Marshal(body)
+		if err != nil {
+			return nil, err
+		}
+		rd = bytes.NewReader(b)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.http.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkStatus(resp); err != nil {
+		drainClose(resp.Body)
+		return nil, err
+	}
+	return resp, nil
+}
+
+// call is do followed by decoding the JSON answer into out, when non-nil.
+func (c *Client) call(ctx context.Context, method, path string, body, out any) error {
+	resp, err := c.do(ctx, method, path, body)
 	if err != nil {
 		return err
 	}
 	defer drainClose(resp.Body)
-	if err := checkStatus(resp); err != nil {
-		return err
+	if out == nil {
+		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
@@ -73,13 +99,13 @@ func drainClose(body io.ReadCloser) {
 // Health checks /healthz.
 func (c *Client) Health(ctx context.Context) error {
 	var out map[string]any
-	return c.get(ctx, "/healthz", &out)
+	return c.call(ctx, http.MethodGet, "/healthz", nil, &out)
 }
 
 // Scenarios fetches the registry catalog.
 func (c *Client) Scenarios(ctx context.Context) ([]scenario.Descriptor, error) {
 	var out []scenario.Descriptor
-	if err := c.get(ctx, "/scenarios", &out); err != nil {
+	if err := c.call(ctx, http.MethodGet, "/scenarios", nil, &out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -88,32 +114,15 @@ func (c *Client) Scenarios(ctx context.Context) ([]scenario.Descriptor, error) {
 // Stats fetches the daemon's operational counters.
 func (c *Client) Stats(ctx context.Context) (Stats, error) {
 	var out Stats
-	err := c.get(ctx, "/statz", &out)
+	err := c.call(ctx, http.MethodGet, "/statz", nil, &out)
 	return out, err
 }
 
 // Submit posts a job batch and returns the accepted states, in request
 // order. Cached jobs come back already done, result included.
 func (c *Client) Submit(ctx context.Context, reqs []JobRequest) ([]JobState, error) {
-	body, err := json.Marshal(BatchRequest{Jobs: reqs})
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/jobs", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp.Body)
-	if err := checkStatus(resp); err != nil {
-		return nil, err
-	}
 	var out BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/jobs", BatchRequest{Jobs: reqs}, &out); err != nil {
 		return nil, err
 	}
 	return out.Jobs, nil
@@ -122,46 +131,30 @@ func (c *Client) Submit(ctx context.Context, reqs []JobRequest) ([]JobState, err
 // Job fetches one job's current state.
 func (c *Client) Job(ctx context.Context, id string) (JobState, error) {
 	var out JobState
-	err := c.get(ctx, "/jobs/"+id, &out)
+	err := c.call(ctx, http.MethodGet, "/jobs/"+id, nil, &out)
 	return out, err
 }
 
 // Cancel cancels a queued or running job.
 func (c *Client) Cancel(ctx context.Context, id string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.base+"/jobs/"+id, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer drainClose(resp.Body)
-	return checkStatus(resp)
+	return c.call(ctx, http.MethodDelete, "/jobs/"+id, nil, nil)
 }
 
 // watchStream follows one NDJSON watch endpoint, invoking fn (if non-nil)
-// on every decoded line, and returns the last state seen. status extracts
-// the lifecycle status so the shared loop can demand a terminal ending.
-func watchStream[T any](ctx context.Context, c *Client, path, id string, fn func(T), status func(T) JobStatus) (T, error) {
-	var last T
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path+"/"+id+"?watch=1", nil)
-	if err != nil {
-		return last, err
-	}
-	resp, err := c.http.Do(req)
+// on every decoded line, and returns the last state seen, which must be
+// terminal.
+func watchStream[P any](ctx context.Context, c *Client, path, id string, fn func(wireState[P])) (wireState[P], error) {
+	var last wireState[P]
+	resp, err := c.do(ctx, http.MethodGet, path+"/"+id+"?watch=1", nil)
 	if err != nil {
 		return last, err
 	}
 	defer drainClose(resp.Body)
-	if err := checkStatus(resp); err != nil {
-		return last, err
-	}
 	scan := bufio.NewScanner(resp.Body)
 	scan.Buffer(make([]byte, 0, 64*1024), 16<<20)
 	seen := false
 	for scan.Scan() {
-		var st T
+		var st wireState[P]
 		if err := json.Unmarshal(scan.Bytes(), &st); err != nil {
 			return last, fmt.Errorf("service: bad stream line: %w", err)
 		}
@@ -176,8 +169,8 @@ func watchStream[T any](ctx context.Context, c *Client, path, id string, fn func
 	if !seen {
 		return last, fmt.Errorf("service: empty watch stream for %s", id)
 	}
-	if !status(last).Terminal() {
-		return last, fmt.Errorf("service: watch stream for %s ended at status %s", id, status(last))
+	if !last.Status.Terminal() {
+		return last, fmt.Errorf("service: watch stream for %s ended at status %s", id, last.Status)
 	}
 	return last, nil
 }
@@ -185,7 +178,7 @@ func watchStream[T any](ctx context.Context, c *Client, path, id string, fn func
 // Watch follows a job's NDJSON progress stream, invoking fn (if non-nil)
 // on every line, and returns the terminal state.
 func (c *Client) Watch(ctx context.Context, id string, fn func(JobState)) (JobState, error) {
-	return watchStream(ctx, c, "/jobs", id, fn, func(st JobState) JobStatus { return st.Status })
+	return watchStream(ctx, c, "/jobs", id, fn)
 }
 
 // Wait blocks until the job reaches a terminal state and returns it.
@@ -197,25 +190,8 @@ func (c *Client) Wait(ctx context.Context, id string) (JobState, error) {
 // in request order. Cached sweeps come back already done, certificate
 // included.
 func (c *Client) SubmitCerts(ctx context.Context, reqs []CertRequest) ([]CertState, error) {
-	body, err := json.Marshal(CertBatchRequest{Certs: reqs})
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/certify", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp.Body)
-	if err := checkStatus(resp); err != nil {
-		return nil, err
-	}
 	var out CertBatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/certify", CertBatchRequest{Certs: reqs}, &out); err != nil {
 		return nil, err
 	}
 	return out.Certs, nil
@@ -224,29 +200,20 @@ func (c *Client) SubmitCerts(ctx context.Context, reqs []CertRequest) ([]CertSta
 // Cert fetches one certification job's current state.
 func (c *Client) Cert(ctx context.Context, id string) (CertState, error) {
 	var out CertState
-	err := c.get(ctx, "/certify/"+id, &out)
+	err := c.call(ctx, http.MethodGet, "/certify/"+id, nil, &out)
 	return out, err
 }
 
 // CancelCert cancels a queued or running certification job.
 func (c *Client) CancelCert(ctx context.Context, id string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.base+"/certify/"+id, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer drainClose(resp.Body)
-	return checkStatus(resp)
+	return c.call(ctx, http.MethodDelete, "/certify/"+id, nil, nil)
 }
 
 // WatchCert follows a certification job's NDJSON progress stream —
 // one line per finished deviation candidate — invoking fn (if non-nil) on
 // every line, and returns the terminal state.
 func (c *Client) WatchCert(ctx context.Context, id string, fn func(CertState)) (CertState, error) {
-	return watchStream(ctx, c, "/certify", id, fn, func(st CertState) JobStatus { return st.Status })
+	return watchStream(ctx, c, "/certify", id, fn)
 }
 
 // WaitCert blocks until the certification job reaches a terminal state and

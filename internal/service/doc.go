@@ -1,26 +1,43 @@
 // Package service is the resident simulation daemon behind cmd/fleserve: a
 // long-running HTTP front end over the scenario registry that batches,
-// deduplicates, caches, and streams Monte-Carlo trial work instead of
+// deduplicates, caches, and streams Monte-Carlo work instead of
 // recomputing every request from scratch.
 //
-// Three pieces cooperate:
+// Every job is one content-addressed record moving through one lifecycle:
+// submit (validate the whole batch, then join an identical job in flight,
+// replay a cached result, or start a fresh run), execute (wait for an
+// engine slot, run, marshal, cache), retire, lookup and cancel. Two
+// payloads use it:
 //
-//   - The Scheduler accepts batches of {scenario, n, trials, seed} job
-//     requests, content-addresses each one with scenario.JobKey,
-//     deduplicates identical jobs in flight (two concurrent submissions of
-//     the same key share one engine run), and multiplexes fresh work onto a
-//     bounded set of engine runs whose workers draw recycled sim.Arena
-//     workspaces from one shared engine.ArenaPool — arenas persist across
-//     jobs, not just across the trials of one job.
-//   - The Cache stores each finished result's exact wire bytes under its
-//     job key. Deterministic seeding makes a cached distribution an exact
-//     replay, not an approximation, so a hit returns byte-identical output
-//     at zero simulation cost.
-//   - The HTTP handlers expose GET /scenarios, POST /jobs (batch), GET
-//     /jobs/{id} (with NDJSON progress streaming: trials completed plus the
-//     running bias estimate under its Wilson interval), DELETE /jobs/{id},
-//     /healthz, and a /statz (alias /metrics) stats endpoint reporting
-//     cache hit rate, worker utilization, and trial throughput.
+//   - Trial batches (POST /jobs, Job, JobState): a scenario run keyed by
+//     scenario.JobKey, streaming the engine's progress snapshots — trials
+//     completed plus the running bias estimate under its Wilson interval.
+//   - Certification sweeps (POST /certify, CertJob, CertState): an
+//     equilibrium best-response sweep keyed by equilibrium.Key, streaming
+//     one line per finished deviation candidate.
+//
+// A payload supplies only what differs: its request's validation and
+// content address, and the work function that computes the value to
+// marshal. Fresh work runs on a bounded set of engine slots whose workers
+// draw recycled sim.Arena workspaces from one shared engine.ArenaPool.
+//
+// Results are cached as exact wire bytes under their content address.
+// Deterministic seeding makes a hit a bit-for-bit replay, not an
+// approximation. The in-memory LRU (Cache) can sit over a crash-safe disk
+// tier (Config.CacheDir, package diskcache) that a fleet's nodes share and
+// that survives restarts.
+//
+// A node runs in one of three roles. A single node runs every job
+// in-process. A coordinator splits distributable trial batches into chunk
+// leases at /chunks/* and merges the shards in chunk order, so results and
+// progress are byte-identical to a single node at any fleet size. A worker
+// owns no jobs and only claims chunks from the coordinator it joined.
+//
+// The HTTP surface is GET /scenarios; POST /jobs and POST /certify
+// (batches); GET and DELETE /jobs/{id} and /certify/{id}, where GET with
+// ?watch=1 streams NDJSON progress; /healthz; and /statz (alias /metrics),
+// which reports cache hit rate, worker utilization, trial throughput and
+// the fleet counters.
 //
 // The package is re-exported for library users as repro.Serve and
 // repro.NewServiceClient.

@@ -2,7 +2,7 @@ package service
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -320,7 +320,7 @@ func (f *fleet) report(lease int64, dist *ring.Distribution, errMsg string) bool
 		return true
 	}
 	if errMsg != "" {
-		f.failTaskLocked(t, &chunkError{index: c.index, msg: errMsg})
+		f.failTaskLocked(t, errors.New(errMsg))
 		f.mu.Unlock()
 		return true
 	}
@@ -350,38 +350,12 @@ func (f *fleet) report(lease int64, dist *ring.Distribution, errMsg string) bool
 	f.mu.Unlock()
 
 	// Progress accounting outside f.mu: job.mu and the scheduler counter
-	// are leaves of their own.
+	// are leaves of their own. The snapshot mirrors the engine's Progress
+	// callback: a deterministic chunk-ordered prefix.
 	if publish {
-		f.publishProgress(t, snap, frontierTrials)
+		t.job.publish(f.s, snap, frontierTrials)
 	}
 	return true
-}
-
-// publishProgress mirrors the engine's Progress callback for a distributed
-// job: a deterministic chunk-ordered prefix snapshot.
-func (f *fleet) publishProgress(t *fleetTask, snap scenario.Snapshot, done int) {
-	j := t.job
-	j.mu.Lock()
-	if done < j.lastDone {
-		// A stale prefix (racing reporters) must never regress the stream.
-		j.mu.Unlock()
-		return
-	}
-	j.snap, j.hasSnap = snap, true
-	delta := done - j.lastDone
-	j.lastDone = done
-	j.mu.Unlock()
-	f.s.trialsDone.Add(int64(delta))
-}
-
-// chunkError carries the failing chunk's index for error reporting.
-type chunkError struct {
-	index int
-	msg   string
-}
-
-func (e *chunkError) Error() string {
-	return e.msg
 }
 
 // failTaskLocked kills a task: queued chunks die lazily via the aborted
@@ -456,15 +430,12 @@ func (f *fleet) runLocal(c *fleetChunk) {
 	f.report(c.lease, dist, "")
 }
 
-// runFleet is the coordinator counterpart of run: decompose the job,
-// wait for the chunk-order merge to cover the batch, summarize, cache.
-func (s *Scheduler) runFleet(j *Job, sc scenario.Scenario) {
-	defer s.wg.Done()
-	defer j.cancel()
-	j.mu.Lock()
-	j.status = StatusRunning
-	j.mu.Unlock()
-
+// runFleet is the coordinator's trial work, the counterpart of run:
+// decompose the job, wait for the chunk-order merge to cover the batch,
+// and summarize it. The final frontier advance publishes no progress, so
+// done is only ever published here, once the outcome exists; the task is
+// finished by then, so merged is quiescent and safe to read without f.mu.
+func (s *Scheduler) runFleet(j *Job, sc scenario.Scenario) (any, error) {
 	opts := j.Req.opts()
 	task := s.fleet.enqueue(j, sc, opts)
 	select {
@@ -477,34 +448,11 @@ func (s *Scheduler) runFleet(j *Job, sc scenario.Scenario) {
 	s.fleet.mu.Unlock()
 	switch {
 	case j.ctx.Err() != nil:
-		s.canceled.Add(1)
-		j.finish(StatusCanceled, nil, context.Cause(j.ctx).Error())
-		s.retire(j)
+		return nil, context.Cause(j.ctx)
 	case err != nil:
-		s.failed.Add(1)
-		j.finish(StatusFailed, nil, err.Error())
-		s.retire(j)
-	default:
-		out := sc.OutcomeFromDist(merged, opts)
-		b, merr := json.Marshal(out)
-		if merr != nil {
-			s.failed.Add(1)
-			j.finish(StatusFailed, nil, merr.Error())
-			s.retire(j)
-			return
-		}
-		f := s.fleet
-		f.publishFinal(task)
-		s.cachePut(j.ID, b)
-		s.completed.Add(1)
-		j.finish(StatusDone, b, "")
+		return nil, err
 	}
-}
-
-// publishFinal records the completed batch in the trial counters (the
-// final frontier advance skips publishProgress so done is only ever
-// published after the outcome exists). The task is finished, so t.merged
-// is quiescent and safe to read without f.mu.
-func (f *fleet) publishFinal(t *fleetTask) {
-	f.publishProgress(t, scenario.NewSnapshot(t.merged, t.total, t.total), t.total)
+	out := sc.OutcomeFromDist(merged, opts)
+	j.publish(s, scenario.NewSnapshot(merged, task.total, task.total), task.total)
+	return out, nil
 }

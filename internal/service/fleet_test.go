@@ -183,6 +183,22 @@ func TestFleetDeadClaimantReissue(t *testing.T) {
 	req := JobRequest{Scenario: "ring/a-lead/fifo", N: 24, Trials: 40000, Seed: 13}
 	want := directBytes(t, req)
 
+	// The doomed claimant is certain to get a chunk: the coordinator's
+	// single local claimant is first held busy on a long one-chunk job,
+	// which is canceled only once the claim has landed. Without it the
+	// local claimant can drain the whole batch before the claim arrives.
+	blocker, err := client.Submit(context.Background(), []JobRequest{
+		{Scenario: "ring/a-lead/fifo", N: 1024, Trials: 500, Seed: 14},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); srv.Scheduler().Stats().Workers.Busy == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the local claimant never picked up the blocking job")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	states, err := client.Submit(context.Background(), []JobRequest{req})
 	if err != nil {
 		t.Fatal(err)
@@ -201,6 +217,9 @@ func TestFleetDeadClaimantReissue(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	if err := client.Cancel(context.Background(), blocker[0].ID); err != nil {
+		t.Fatalf("cancel blocker: %v", err)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()

@@ -30,6 +30,18 @@ type BatchResponse struct {
 	Jobs []JobState `json:"jobs"`
 }
 
+// CertBatchRequest is the POST /certify payload.
+type CertBatchRequest struct {
+	Certs []CertRequest `json:"certs"`
+}
+
+// CertBatchResponse answers POST /certify: one state per submitted sweep,
+// in request order. Sweeps resolved from the cache arrive already done,
+// certificate included.
+type CertBatchResponse struct {
+	Certs []CertState `json:"certs"`
+}
+
 // errorResponse is the uniform error payload.
 type errorResponse struct {
 	Error string `json:"error"`
@@ -57,11 +69,11 @@ func (s *Server) routes() http.Handler {
 		return mux
 	}
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
-	mux.HandleFunc("GET /jobs/{id}", s.handleJob)
-	mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
+	mux.HandleFunc("GET /jobs/{id}", serveState(s.sched.trials))
+	mux.HandleFunc("DELETE /jobs/{id}", serveCancel(s.sched.trials))
 	mux.HandleFunc("POST /certify", s.handleCertify)
-	mux.HandleFunc("GET /certify/{id}", s.handleCert)
-	mux.HandleFunc("DELETE /certify/{id}", s.handleCancelCert)
+	mux.HandleFunc("GET /certify/{id}", serveState(s.sched.sweeps))
+	mux.HandleFunc("DELETE /certify/{id}", serveCancel(s.sched.sweeps))
 	if s.cfg.Role == RoleCoordinator {
 		mux.HandleFunc("POST /chunks/claim", s.handleChunkClaim)
 		mux.HandleFunc("POST /chunks/result", s.handleChunkResult)
@@ -111,41 +123,81 @@ func (s *Server) handleScenarios(w http.ResponseWriter, _ *http.Request) {
 // still gets its results computed (and cached) for the next asker.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var batch BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<22))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&batch); err != nil {
-		writeError(w, http.StatusBadRequest, "bad batch: %v", err)
-		return
+	if states, ok := submitBatch(w, r, s.sched.trials, &batch, &batch.Jobs); ok {
+		writeJSON(w, http.StatusAccepted, BatchResponse{Jobs: states})
 	}
-	if len(batch.Jobs) > maxBatch {
-		writeError(w, http.StatusBadRequest, "batch of %d exceeds the %d-job limit", len(batch.Jobs), maxBatch)
-		return
-	}
-	jobs, err := s.sched.Submit(batch.Jobs)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	resp := BatchResponse{Jobs: make([]JobState, len(jobs))}
-	for i, j := range jobs {
-		resp.Jobs[i] = j.State()
-	}
-	writeJSON(w, http.StatusAccepted, resp)
 }
 
-// handleJob serves one job's state; with ?watch=1 it streams NDJSON
-// progress lines — one JobState per change, ending with the terminal state
-// (result included) — until the job finishes or the client goes away.
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.sched.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such job")
-		return
+// handleCertify accepts a certification batch. Like trial jobs, sweeps run
+// on the scheduler's lifetime, and identical requests share one
+// computation whose cached certificate replays byte-for-byte.
+func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
+	var batch CertBatchRequest
+	if states, ok := submitBatch(w, r, s.sched.sweeps, &batch, &batch.Certs); ok {
+		writeJSON(w, http.StatusAccepted, CertBatchResponse{Certs: states})
 	}
-	serveWatchable(w, r, j.Done(), func() (any, bool) {
-		st := j.State()
-		return st, st.Status.Terminal()
-	})
+}
+
+// submitBatch decodes one POST envelope into batch, whose request list is
+// *reqs, and submits the list whole. It answers 400 itself and reports
+// false on any rejection; otherwise it returns the accepted states, in
+// request order, for the caller's response envelope.
+func submitBatch[R request, P any](w http.ResponseWriter, r *http.Request, l *lifecycle[R, P], batch any, reqs *[]R) ([]wireState[P], bool) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<22))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(batch); err != nil {
+		writeError(w, http.StatusBadRequest, "bad batch: %v", err)
+		return nil, false
+	}
+	if len(*reqs) > maxBatch {
+		writeError(w, http.StatusBadRequest, "batch of %d exceeds the %d-job limit", len(*reqs), maxBatch)
+		return nil, false
+	}
+	jobs, err := l.submit(*reqs)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return nil, false
+	}
+	states := make([]wireState[P], len(jobs))
+	for i, j := range jobs {
+		states[i] = j.State()
+	}
+	return states, true
+}
+
+// serveState serves one job's state; with ?watch=1 it streams NDJSON
+// progress lines — one state per change (a trial batch's snapshot, a
+// sweep's finished candidate), ending with the terminal state, result
+// included — until the job finishes or the client goes away.
+func serveState[R request, P any](l *lifecycle[R, P]) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		j, ok := l.lookup(r.PathValue("id"))
+		if !ok {
+			writeError(w, http.StatusNotFound, "no such %sjob", l.label)
+			return
+		}
+		serveWatchable(w, r, j.Done(), func() (any, bool) {
+			st := j.State()
+			return st, st.Status.Terminal()
+		})
+	}
+}
+
+// serveCancel cancels a queued or running job: 409 once it is terminal,
+// 404 when the id is unknown.
+func serveCancel[R request, P any](l *lifecycle[R, P]) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		if l.cancel(id) {
+			writeJSON(w, http.StatusOK, map[string]any{"canceled": true})
+			return
+		}
+		if j, ok := l.lookup(id); ok {
+			writeError(w, http.StatusConflict, "%sjob is already %s", l.label, j.State().Status)
+			return
+		}
+		writeError(w, http.StatusNotFound, "no such %sjob", l.label)
+	}
 }
 
 // serveWatchable serves one watchable resource: plain JSON state without
@@ -193,88 +245,6 @@ func serveWatchable(w http.ResponseWriter, r *http.Request, done <-chan struct{}
 			return
 		}
 	}
-}
-
-// handleCancel cancels a queued or running job.
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if s.sched.Cancel(id) {
-		writeJSON(w, http.StatusOK, map[string]any{"canceled": true})
-		return
-	}
-	if j, ok := s.sched.Job(id); ok {
-		writeError(w, http.StatusConflict, "job is already %s", j.State().Status)
-		return
-	}
-	writeError(w, http.StatusNotFound, "no such job")
-}
-
-// CertBatchRequest is the POST /certify payload.
-type CertBatchRequest struct {
-	Certs []CertRequest `json:"certs"`
-}
-
-// CertBatchResponse answers POST /certify: one state per submitted sweep,
-// in request order. Sweeps resolved from the cache arrive already done,
-// certificate included.
-type CertBatchResponse struct {
-	Certs []CertState `json:"certs"`
-}
-
-// handleCertify accepts a certification batch. Like trial jobs, sweeps run
-// on the scheduler's lifetime, and identical requests share one
-// computation whose cached certificate replays byte-for-byte.
-func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
-	var batch CertBatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<22))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&batch); err != nil {
-		writeError(w, http.StatusBadRequest, "bad batch: %v", err)
-		return
-	}
-	if len(batch.Certs) > maxBatch {
-		writeError(w, http.StatusBadRequest, "batch of %d exceeds the %d-job limit", len(batch.Certs), maxBatch)
-		return
-	}
-	jobs, err := s.sched.SubmitCerts(batch.Certs)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	resp := CertBatchResponse{Certs: make([]CertState, len(jobs))}
-	for i, j := range jobs {
-		resp.Certs[i] = j.State()
-	}
-	writeJSON(w, http.StatusAccepted, resp)
-}
-
-// handleCert serves one certification job's state; with ?watch=1 it streams
-// NDJSON progress — one CertState per finished deviation candidate — ending
-// with the terminal state, certificate included.
-func (s *Server) handleCert(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.sched.Cert(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such certification job")
-		return
-	}
-	serveWatchable(w, r, j.Done(), func() (any, bool) {
-		st := j.State()
-		return st, st.Status.Terminal()
-	})
-}
-
-// handleCancelCert cancels a queued or running certification job.
-func (s *Server) handleCancelCert(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if s.sched.CancelCert(id) {
-		writeJSON(w, http.StatusOK, map[string]any{"canceled": true})
-		return
-	}
-	if j, ok := s.sched.Cert(id); ok {
-		writeError(w, http.StatusConflict, "certification job is already %s", j.State().Status)
-		return
-	}
-	writeError(w, http.StatusNotFound, "no such certification job")
 }
 
 // handleChunkClaim leases one queued trial chunk to a fleet claimant: 200

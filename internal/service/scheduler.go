@@ -2,8 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -12,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/equilibrium"
 	"repro/internal/scenario"
 	"repro/internal/service/diskcache"
 )
@@ -37,100 +36,36 @@ func (r JobRequest) opts() scenario.Opts {
 	return scenario.Opts{N: r.N, Trials: r.Trials, K: r.K, Target: r.Target}
 }
 
-// JobStatus is a job's lifecycle state.
-type JobStatus string
+func (r JobRequest) ident() (string, int64) { return r.Scenario, r.Seed }
 
-// Job lifecycle states. Queued and running jobs are in flight; done,
-// failed, and canceled are terminal.
-const (
-	StatusQueued   JobStatus = "queued"
-	StatusRunning  JobStatus = "running"
-	StatusDone     JobStatus = "done"
-	StatusFailed   JobStatus = "failed"
-	StatusCanceled JobStatus = "canceled"
-)
-
-// Terminal reports whether the status is final.
-func (s JobStatus) Terminal() bool {
-	return s == StatusDone || s == StatusFailed || s == StatusCanceled
+// key is the job's content address, scenario.JobKey.
+func (r JobRequest) key(sc scenario.Scenario, version string) string {
+	return sc.JobKey(version, r.Seed, r.opts())
 }
 
-// JobState is the wire representation of a job at one instant: what GET
-// /jobs/{id} returns and what each NDJSON stream line carries. Result holds
-// the exact cached bytes of the outcome, so byte identity survives the
-// round trip through the API.
-type JobState struct {
-	ID       string             `json:"id"`
-	Scenario string             `json:"scenario"`
-	Seed     int64              `json:"seed"`
-	Status   JobStatus          `json:"status"`
-	Cached   bool               `json:"cached,omitempty"`
-	Deduped  int                `json:"deduped,omitempty"`
-	Progress *scenario.Snapshot `json:"progress,omitempty"`
-	Error    string             `json:"error,omitempty"`
-	Result   json.RawMessage    `json:"result,omitempty"`
-}
-
-// Job is one scheduled unit of work. Its identity is its content address:
-// two requests with the same JobKey are the same job.
-type Job struct {
-	// ID is the job's content address (scenario.JobKey).
-	ID string
-	// Req is the request that first created the job.
-	Req JobRequest
-
-	ctx    context.Context
-	cancel context.CancelFunc
-	done   chan struct{}
-
-	mu       sync.Mutex
-	status   JobStatus
-	cached   bool
-	deduped  int
-	result   []byte
-	errMsg   string
-	snap     scenario.Snapshot
-	hasSnap  bool
-	lastDone int
-}
-
-// Done returns a channel closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
-// State captures the job's current wire state.
-func (j *Job) State() JobState {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := JobState{
-		ID:       j.ID,
-		Scenario: j.Req.Scenario,
-		Seed:     j.Req.Seed,
-		Status:   j.status,
-		Cached:   j.cached,
-		Deduped:  j.deduped,
-		Error:    j.errMsg,
+// validate applies the submit-time checks that make batch rejection whole:
+// the request's resolved parameters must be runnable at all and its trial
+// count bounded, mirroring the size/trial validation RunOpts would fail
+// with mid-batch.
+func (r JobRequest) validate(sc scenario.Scenario, maxTrials int) error {
+	n, trials := sc.N, sc.Trials
+	if r.N > 0 {
+		n = r.N
 	}
-	if j.hasSnap {
-		snap := j.snap
-		st.Progress = &snap
+	if r.Trials > 0 {
+		trials = r.Trials
 	}
-	if j.result != nil {
-		st.Result = json.RawMessage(j.result)
+	switch {
+	case r.N < 0 || r.Trials < 0:
+		return fmt.Errorf("%s: negative override (n=%d trials=%d)", sc.Name, r.N, r.Trials)
+	case n < sc.MinN:
+		return fmt.Errorf("%s needs n ≥ %d, got %d", sc.Name, sc.MinN, n)
+	case trials < 1:
+		return fmt.Errorf("%s needs ≥ 1 trial, got %d", sc.Name, trials)
+	case trials > maxTrials:
+		return fmt.Errorf("%s: %d trials exceeds the per-job bound %d", sc.Name, trials, maxTrials)
 	}
-	return st
-}
-
-// finish moves the job to a terminal state exactly once.
-func (j *Job) finish(status JobStatus, result []byte, errMsg string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.status.Terminal() {
-		return
-	}
-	j.status = status
-	j.result = result
-	j.errMsg = errMsg
-	close(j.done)
+	return nil
 }
 
 // Config tunes one daemon instance.
@@ -241,26 +176,22 @@ type Scheduler struct {
 	sem        chan struct{}
 	wg         sync.WaitGroup
 
-	mu           sync.Mutex
-	jobs         map[string]*Job
-	certs        map[string]*CertJob
-	retired      []*Job     // failed/canceled records, oldest first, capped at retiredCap
-	retiredCerts []*CertJob // same, for certification jobs
+	mu     sync.Mutex
+	trials *lifecycle[JobRequest, scenario.Snapshot]     // POST /jobs
+	sweeps *lifecycle[CertRequest, equilibrium.Progress] // POST /certify
 
 	retiredCap int
 
-	start          time.Time
-	certsSubmitted atomic.Int64
-	submitted      atomic.Int64
-	runsFresh      atomic.Int64 // jobs that required an engine run
-	hitsCache      atomic.Int64 // jobs replayed from the cache or a finished twin
-	hitsDedup      atomic.Int64 // jobs folded into an in-flight twin
-	completed      atomic.Int64
-	failed         atomic.Int64
-	canceled       atomic.Int64
-	trialsDone     atomic.Int64
-	busy           atomic.Int64
-	diskErrs       atomic.Int64
+	start      time.Time
+	runsFresh  atomic.Int64 // jobs that required an engine run
+	hitsCache  atomic.Int64 // jobs replayed from the cache or a finished twin
+	hitsDedup  atomic.Int64 // jobs folded into an in-flight twin
+	completed  atomic.Int64
+	failed     atomic.Int64
+	canceled   atomic.Int64
+	trialsDone atomic.Int64
+	busy       atomic.Int64
+	diskErrs   atomic.Int64
 }
 
 // NewScheduler returns a running scheduler. Close releases it. The only
@@ -291,10 +222,21 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		sem:        make(chan struct{}, cfg.Parallel),
-		jobs:       make(map[string]*Job),
-		certs:      make(map[string]*CertJob),
 		retiredCap: retiredCap,
 		start:      time.Now(),
+	}
+	s.trials = &lifecycle[JobRequest, scenario.Snapshot]{
+		s:      s,
+		noun:   "job",
+		runner: s.trialWork,
+		live:   make(map[string]*Job),
+	}
+	s.sweeps = &lifecycle[CertRequest, equilibrium.Progress]{
+		s:      s,
+		noun:   "cert",
+		label:  "certification ",
+		runner: s.certWork,
+		live:   make(map[string]*CertJob),
 	}
 	s.cache = NewCache(cfg.CacheSize)
 	if cfg.CacheDir != "" {
@@ -345,8 +287,8 @@ func (s *Scheduler) cachePut(key string, b []byte) {
 // bookkeeping. Callers hold s.mu.
 func (s *Scheduler) memPutLocked(key string, b []byte) {
 	for _, old := range s.cache.Put(key, b) {
-		delete(s.jobs, old)
-		delete(s.certs, old)
+		delete(s.trials.live, old)
+		delete(s.sweeps.live, old)
 	}
 }
 
@@ -385,194 +327,20 @@ func (s *Scheduler) Version() string { return s.version }
 // or over-bound trials), so a typo cannot half-run a batch. Attack-plan
 // feasibility (coalition sizes) is still a run-time concern: those
 // failures surface as a failed job, not a rejected batch.
-func (s *Scheduler) Submit(reqs []JobRequest) ([]*Job, error) {
-	if len(reqs) == 0 {
-		return nil, errors.New("service: empty batch")
-	}
-	// Validate every request before creating any job.
-	scs := make([]scenario.Scenario, len(reqs))
-	for i, req := range reqs {
-		sc, ok := scenario.Find(req.Scenario)
-		if !ok {
-			return nil, fmt.Errorf("service: job %d: no registered scenario %q", i, req.Scenario)
-		}
-		if err := s.validate(sc, req); err != nil {
-			return nil, fmt.Errorf("service: job %d: %w", i, err)
-		}
-		scs[i] = sc
-	}
-	out := make([]*Job, len(reqs))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.baseCtx.Err() != nil {
-		return nil, errors.New("service: scheduler is closed")
-	}
-	for i, req := range reqs {
-		s.submitted.Add(1)
-		id := scs[i].JobKey(s.version, req.Seed, req.opts())
-		if j, ok := s.jobs[id]; ok {
-			st := func() JobStatus { j.mu.Lock(); defer j.mu.Unlock(); return j.status }()
-			switch {
-			case st == StatusDone:
-				s.hitsCache.Add(1)
-				out[i] = j
-				continue
-			case !st.Terminal():
-				s.hitsDedup.Add(1)
-				j.mu.Lock()
-				j.deduped++
-				j.mu.Unlock()
-				out[i] = j
-				continue
-			}
-			// Failed or canceled: fall through and schedule a fresh run
-			// under the same identity.
-		}
-		if b, ok := s.cacheGetLocked(id); ok {
-			j := s.newJob(id, req)
-			j.cached = true
-			j.status = StatusDone
-			j.result = b
-			close(j.done)
-			j.cancel() // born terminal: release the context immediately
-			s.jobs[id] = j
-			s.hitsCache.Add(1)
-			out[i] = j
-			continue
-		}
-		j := s.newJob(id, req)
-		s.jobs[id] = j
-		s.runsFresh.Add(1)
-		s.wg.Add(1)
-		if s.fleet != nil && scs[i].Distributable() {
-			go s.runFleet(j, scs[i])
-		} else {
-			go s.run(j, scs[i])
-		}
-		out[i] = j
-	}
-	return out, nil
-}
+func (s *Scheduler) Submit(reqs []JobRequest) ([]*Job, error) { return s.trials.submit(reqs) }
 
-// validate applies the submit-time checks that make batch rejection whole:
-// the request's resolved parameters must be runnable at all and its trial
-// count bounded, mirroring the size/trial validation RunOpts would fail
-// with mid-batch.
-func (s *Scheduler) validate(sc scenario.Scenario, req JobRequest) error {
-	n, trials := sc.N, sc.Trials
-	if req.N > 0 {
-		n = req.N
-	}
-	if req.Trials > 0 {
-		trials = req.Trials
-	}
-	switch {
-	case req.N < 0 || req.Trials < 0:
-		return fmt.Errorf("%s: negative override (n=%d trials=%d)", sc.Name, req.N, req.Trials)
-	case n < sc.MinN:
-		return fmt.Errorf("%s needs n ≥ %d, got %d", sc.Name, sc.MinN, n)
-	case trials < 1:
-		return fmt.Errorf("%s needs ≥ 1 trial, got %d", sc.Name, trials)
-	case trials > s.cfg.MaxTrials:
-		return fmt.Errorf("%s: %d trials exceeds the per-job bound %d", sc.Name, trials, s.cfg.MaxTrials)
-	}
-	return nil
-}
-
-// retire records a failed or canceled job in the bounded terminal list;
-// beyond the cap the oldest retired record is dropped from the jobs map
-// (unless a fresh run has already replaced it under the same identity).
-// Done jobs are instead governed by the cache's eviction hook.
-func (s *Scheduler) retire(j *Job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.retired = append(s.retired, j)
-	for len(s.retired) > s.retiredCap {
-		old := s.retired[0]
-		s.retired[0] = nil
-		s.retired = s.retired[1:]
-		if cur, ok := s.jobs[old.ID]; ok && cur == old {
-			delete(s.jobs, old.ID)
-		}
-	}
-}
-
-// newJob builds a queued job wired to the scheduler's lifetime.
-func (s *Scheduler) newJob(id string, req JobRequest) *Job {
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	return &Job{
-		ID:     id,
-		Req:    req,
-		ctx:    ctx,
-		cancel: cancel,
-		done:   make(chan struct{}),
-		status: StatusQueued,
-	}
-}
-
-// run executes one job on the engine, respecting the Parallel bound.
-func (s *Scheduler) run(j *Job, sc scenario.Scenario) {
-	defer s.wg.Done()
-	defer j.cancel() // release the context once the job is terminal
-	select {
-	case s.sem <- struct{}{}:
-	case <-j.ctx.Done():
-		// Canceled (or scheduler closed) while still queued.
-		s.canceled.Add(1)
-		j.finish(StatusCanceled, nil, context.Cause(j.ctx).Error())
-		s.retire(j)
-		return
-	}
-	defer func() { <-s.sem }()
-	s.busy.Add(1)
-	defer s.busy.Add(-1)
-
-	j.mu.Lock()
-	j.status = StatusRunning
-	j.mu.Unlock()
-
-	opts := j.Req.opts()
-	opts.Workers = s.cfg.Workers
-	opts.Arenas = s.arenas
-	opts.Progress = func(snap scenario.Snapshot) {
-		j.mu.Lock()
-		j.snap, j.hasSnap = snap, true
-		delta := snap.Done - j.lastDone
-		j.lastDone = snap.Done
-		j.mu.Unlock()
-		s.trialsDone.Add(int64(delta))
-	}
-	out, err := sc.RunOpts(j.ctx, j.Req.Seed, opts)
-	switch {
-	case err != nil && (errors.Is(err, context.Canceled) || j.ctx.Err() != nil):
-		s.canceled.Add(1)
-		j.finish(StatusCanceled, nil, err.Error())
-		s.retire(j)
-	case err != nil:
-		s.failed.Add(1)
-		j.finish(StatusFailed, nil, err.Error())
-		s.retire(j)
-	default:
-		b, merr := json.Marshal(out)
-		if merr != nil {
-			s.failed.Add(1)
-			j.finish(StatusFailed, nil, merr.Error())
-			s.retire(j)
-			return
-		}
-		s.cachePut(j.ID, b)
-		s.completed.Add(1)
-		j.finish(StatusDone, b, "")
-	}
+// SubmitCerts registers a batch of certification requests and returns one
+// *CertJob per request, in order, with exactly the dedup and whole-batch
+// rejection semantics of Submit.
+func (s *Scheduler) SubmitCerts(reqs []CertRequest) ([]*CertJob, error) {
+	return s.sweeps.submit(reqs)
 }
 
 // Job returns the job with the given content address.
-func (s *Scheduler) Job(id string) (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
-}
+func (s *Scheduler) Job(id string) (*Job, bool) { return s.trials.lookup(id) }
+
+// Cert returns the certification job with the given content address.
+func (s *Scheduler) Cert(id string) (*CertJob, bool) { return s.sweeps.lookup(id) }
 
 // Cancel cancels a queued or running job. It reports whether a cancelation
 // was delivered; terminal and unknown jobs return false.
@@ -582,21 +350,31 @@ func (s *Scheduler) Job(id string) (*Job, bool) {
 // must resubmit (which schedules a fresh run) if they still want the
 // result. That is deliberate — the job's identity, not its first
 // submitter, owns the computation.
-func (s *Scheduler) Cancel(id string) bool {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return false
+func (s *Scheduler) Cancel(id string) bool { return s.trials.cancel(id) }
+
+// CancelCert cancels a queued or running certification job, with the same
+// content-addressed semantics as Cancel.
+func (s *Scheduler) CancelCert(id string) bool { return s.sweeps.cancel(id) }
+
+// trialWork picks a fresh trial job's work. A coordinator spreads a
+// distributable scenario over its chunk exchange, where the claimants run
+// the chunks, so the job itself holds no engine slot; everything else runs
+// whole on one slot.
+func (s *Scheduler) trialWork(sc scenario.Scenario) (work[JobRequest, scenario.Snapshot], bool) {
+	if s.fleet != nil && sc.Distributable() {
+		return s.runFleet, false
 	}
-	j.mu.Lock()
-	terminal := j.status.Terminal()
-	j.mu.Unlock()
-	if terminal {
-		return false
-	}
-	j.cancel()
-	return true
+	return s.run, true
+}
+
+// run is the single-node trial work: the whole batch on the engine,
+// publishing the engine's progress snapshots.
+func (s *Scheduler) run(j *Job, sc scenario.Scenario) (any, error) {
+	opts := j.Req.opts()
+	opts.Workers = s.cfg.Workers
+	opts.Arenas = s.arenas
+	opts.Progress = func(snap scenario.Snapshot) { j.publish(s, snap, snap.Done) }
+	return sc.RunOpts(j.ctx, j.Req.Seed, opts)
 }
 
 // Close cancels every in-flight job and waits for their goroutines. The
@@ -696,8 +474,8 @@ func (s *Scheduler) Stats() Stats {
 	st.UptimeSeconds = time.Since(s.start).Seconds()
 	st.Scenarios = len(scenario.All())
 
-	st.Jobs.Submitted = s.submitted.Load()
-	st.Jobs.Certificates = s.certsSubmitted.Load()
+	st.Jobs.Certificates = s.sweeps.submitted.Load()
+	st.Jobs.Submitted = s.trials.submitted.Load() + st.Jobs.Certificates
 	st.Jobs.Fresh = s.runsFresh.Load()
 	st.Jobs.Completed = s.completed.Load()
 	st.Jobs.Failed = s.failed.Load()

@@ -434,61 +434,108 @@ func TestSubmitRejectsInvalidParamsWhole(t *testing.T) {
 	}
 }
 
-// TestRetiredJobsAreBounded pins the resident-daemon memory bound: failed
-// and canceled job records are dropped oldest-first once the retention cap
-// (the cache capacity) is exceeded.
+// TestRetiredJobsAreBounded pins the resident-daemon memory bound for both
+// payloads: failed and canceled records are dropped oldest-first once the
+// retention cap (the cache capacity) is exceeded.
 func TestRetiredJobsAreBounded(t *testing.T) {
-	srv, client := newTestServer(t, Config{CacheSize: 2})
-	ctx := context.Background()
-	sched := srv.Scheduler()
+	payloads := []struct {
+		name string
+		// submit queues one small request and returns its id.
+		submit func(ctx context.Context, c *Client, seed int64) (string, error)
+		cancel func(s *Scheduler, id string) bool
+		// status reads a retained record's status; false once it is gone.
+		status func(s *Scheduler, id string) (JobStatus, bool)
+	}{
+		{"jobs",
+			func(ctx context.Context, c *Client, seed int64) (string, error) {
+				states, err := c.Submit(ctx, []JobRequest{{Scenario: "ring/basic-lead/fifo", N: 8, Trials: 50, Seed: seed}})
+				if err != nil {
+					return "", err
+				}
+				return states[0].ID, nil
+			},
+			(*Scheduler).Cancel,
+			func(s *Scheduler, id string) (JobStatus, bool) {
+				j, ok := s.Job(id)
+				if !ok {
+					return "", false
+				}
+				return j.State().Status, true
+			}},
+		{"certs",
+			func(ctx context.Context, c *Client, seed int64) (string, error) {
+				states, err := c.SubmitCerts(ctx, []CertRequest{{Scenario: "ring/basic-lead/fifo", N: 8, Trials: 50, Seed: seed}})
+				if err != nil {
+					return "", err
+				}
+				return states[0].ID, nil
+			},
+			(*Scheduler).CancelCert,
+			func(s *Scheduler, id string) (JobStatus, bool) {
+				j, ok := s.Cert(id)
+				if !ok {
+					return "", false
+				}
+				return j.State().Status, true
+			}},
+	}
+	for _, p := range payloads {
+		t.Run(p.name, func(t *testing.T) {
+			srv, client := newTestServer(t, Config{CacheSize: 2})
+			ctx := context.Background()
+			sched := srv.Scheduler()
 
-	// Hold the single engine slot so the jobs under test stay queued and
-	// cancel deterministically.
-	blocker := JobRequest{Scenario: "ring/a-lead/fifo", N: 24, Trials: 500000, Seed: 77}
-	blockerStates, err := client.Submit(ctx, []JobRequest{blocker})
-	if err != nil {
-		t.Fatalf("submit blocker: %v", err)
-	}
-	waitStatus(t, srv, blockerStates[0].ID, StatusRunning)
+			// Hold the single engine slot so the requests under test stay
+			// queued and cancel deterministically.
+			blocker := JobRequest{Scenario: "ring/a-lead/fifo", N: 24, Trials: 500000, Seed: 77}
+			blockerStates, err := client.Submit(ctx, []JobRequest{blocker})
+			if err != nil {
+				t.Fatalf("submit blocker: %v", err)
+			}
+			waitStatus(t, srv, blockerStates[0].ID, StatusRunning)
 
-	var ids []string
-	for seed := int64(0); seed < 3; seed++ {
-		states, err := client.Submit(ctx, []JobRequest{{Scenario: "ring/basic-lead/fifo", N: 8, Trials: 50, Seed: seed}})
-		if err != nil {
-			t.Fatalf("submit seed %d: %v", seed, err)
-		}
-		id := states[0].ID
-		if !sched.Cancel(id) {
-			t.Fatalf("cancel seed %d", seed)
-		}
-		j, _ := sched.Job(id)
-		<-j.Done()
-		ids = append(ids, id)
-	}
-	// Cap 2: the first canceled record must be gone, the last two kept.
-	// (Retirement runs just after the job's done channel closes, so poll.)
-	evicted := false
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
-		if _, ok := sched.Job(ids[0]); !ok {
-			evicted = true
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !evicted {
-		t.Fatal("oldest retired job still retained beyond the cap")
-	}
-	for _, id := range ids[1:] {
-		j, ok := sched.Job(id)
-		if !ok {
-			t.Fatalf("job %s dropped while under the cap", id)
-		}
-		if st := j.State().Status; st != StatusCanceled {
-			t.Fatalf("retained job has status %s", st)
-		}
-	}
-	if !sched.Cancel(blockerStates[0].ID) {
-		t.Fatal("cancel blocker")
+			// poll waits for cond: retirement runs just after a record's
+			// done channel closes.
+			poll := func(cond func() bool) bool {
+				for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+					if cond() {
+						return true
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+				return false
+			}
+			var ids []string
+			for seed := int64(0); seed < 3; seed++ {
+				id, err := p.submit(ctx, client, seed)
+				if err != nil {
+					t.Fatalf("submit seed %d: %v", seed, err)
+				}
+				if !p.cancel(sched, id) {
+					t.Fatalf("cancel seed %d", seed)
+				}
+				if !poll(func() bool { st, _ := p.status(sched, id); return st == StatusCanceled }) {
+					t.Fatalf("seed %d never reached canceled", seed)
+				}
+				ids = append(ids, id)
+			}
+			// Cap 2: the first canceled record must be gone, the last two kept.
+			if !poll(func() bool { _, ok := p.status(sched, ids[0]); return !ok }) {
+				t.Fatal("oldest retired record still retained beyond the cap")
+			}
+			for _, id := range ids[1:] {
+				st, ok := p.status(sched, id)
+				if !ok {
+					t.Fatalf("record %s dropped while under the cap", id)
+				}
+				if st != StatusCanceled {
+					t.Fatalf("retained record has status %s", st)
+				}
+			}
+			if !sched.Cancel(blockerStates[0].ID) {
+				t.Fatal("cancel blocker")
+			}
+		})
 	}
 }
 

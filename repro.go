@@ -95,8 +95,8 @@ type (
 //
 // The structs, by entry point:
 //
-//   - TrialOptions — Trials/TrialsOpts and RunAttackTrials (plus the
-//     deprecated AttackTrials wrappers). Adds Chunk and Arenas.
+//   - TrialOptions — Trials/TrialsOpts and RunAttackTrials. Adds Chunk
+//     and Arenas.
 //   - ScenarioOpts — RunScenario. Adds per-scenario overrides (N, Trials,
 //     K, Target) on top of the shared trio.
 //   - CertifyOptions — Certify/CertifyAll/CertifyMatch. Shares Workers and
@@ -203,28 +203,6 @@ func TrialsOpts(ctx context.Context, spec Spec, trials int, opts TrialOptions) (
 // TrialOptions is the sensible default.
 func RunAttackTrials(ctx context.Context, spec AttackSpec, trials int, opts TrialOptions) (*Distribution, error) {
 	return ring.RunAttackTrials(ctx, spec, trials, opts)
-}
-
-// AttackTrials runs an attack batch with default options.
-//
-// Deprecated: use RunAttackTrials with an AttackSpec. This positional form
-// is a thin wrapper with bit-identical results, retained so recorded
-// experiment call sites keep compiling.
-//
-//doccheck:allow-positional
-func AttackTrials(n int, protocol Protocol, attack Attack, target int64, seed int64, trials int) (*Distribution, error) {
-	return ring.AttackTrials(n, protocol, attack, target, seed, trials)
-}
-
-// AttackTrialsOpts is AttackTrials with a context and engine options.
-//
-// Deprecated: use RunAttackTrials with an AttackSpec. This positional form
-// is a thin wrapper with bit-identical results, retained so recorded
-// experiment call sites keep compiling.
-//
-//doccheck:allow-positional
-func AttackTrialsOpts(ctx context.Context, n int, protocol Protocol, attack Attack, target int64, seed int64, trials int, opts TrialOptions) (*Distribution, error) {
-	return ring.AttackTrialsOpts(ctx, n, protocol, attack, target, seed, trials, opts)
 }
 
 // StopWhenResolved builds a TrialOptions.Stop rule that ends a batch once

@@ -21,7 +21,8 @@ func TestPublicAPIQuickstart(t *testing.T) {
 
 func TestPublicAPIAttackFlow(t *testing.T) {
 	proto := NewALead()
-	dist, err := AttackTrials(100, proto, NewSqrtAttack(0), 7, 1, 10)
+	spec := AttackSpec{N: 100, Protocol: proto, Attack: NewSqrtAttack(0), Target: 7, Seed: 1}
+	dist, err := RunAttackTrials(context.Background(), spec, 10, TrialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
