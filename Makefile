@@ -12,12 +12,13 @@ build:
 test:
 	$(GO) test ./...
 
-# race runs the race detector over the concurrent layers. The equilibrium
+# race runs the race detector over the concurrent layers, including
+# internal/conc, which runs one goroutine per processor. The equilibrium
 # package runs with -short: its full-catalog and phase-lead tightness sweeps
 # take minutes under the detector and exercise no sweep concurrency the
 # short tests miss; the nightly full-tree race still runs them.
 race:
-	$(GO) test -race ./internal/engine/ ./internal/ring/ ./internal/cointoss/ ./internal/scenario/ ./internal/service/ ./internal/popproto/
+	$(GO) test -race ./internal/engine/ ./internal/ring/ ./internal/cointoss/ ./internal/scenario/ ./internal/service/ ./internal/popproto/ ./internal/conc/
 	$(GO) test -race -short ./internal/equilibrium/
 
 # docs-check is the documentation floor: vet must be clean, every package

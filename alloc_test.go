@@ -45,10 +45,9 @@ func TestArenaTrialAllocBudget(t *testing.T) {
 		{"basic-lead/n=8", ring.Spec{N: 8, Protocol: basiclead.New()}, 12},
 		// A-LEADuni n=16 measures 17 = n strategies + 1 slice.
 		{"a-lead/n=16", ring.Spec{N: 16, Protocol: alead.New()}, 20},
-		// PhaseAsyncLead n=16 measures 20 = n strategies + slice + the
-		// shared data/vals backing array + the randfunc.Func and its
-		// position-key table.
-		{"phase-lead/n=16", ring.Spec{N: 16, Protocol: phaselead.NewDefault()}, 22},
+		// PhaseAsyncLead n=16 measures 19 = n strategies + slice + the
+		// randfunc.Func and its position-key table.
+		{"phase-lead/n=16", ring.Spec{N: 16, Protocol: phaselead.NewDefault()}, 21},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

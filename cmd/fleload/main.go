@@ -145,12 +145,8 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 	// Pre-warm the cached identity so classCached requests measure replay,
 	// not the first computation. Untimed by design.
 	if weights[classCached] > 0 {
-		states, err := client.Submit(ctx, []service.JobRequest{cachedReq})
-		if err != nil {
+		if err := submitAndWait(ctx, client, cachedReq); err != nil {
 			return fmt.Errorf("pre-warm: %w", err)
-		}
-		if _, err := client.Wait(ctx, states[0].ID); err != nil {
-			return fmt.Errorf("pre-warm wait: %w", err)
 		}
 	}
 
@@ -182,7 +178,7 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 		case classCertify:
 			var states []service.CertState
 			states, err = client.SubmitCerts(ctx, []service.CertRequest{certReq})
-			if err == nil {
+			if err == nil && !states[0].Status.Terminal() {
 				_, err = client.WaitCert(ctx, states[0].ID)
 			}
 		case classCommittee:
@@ -268,15 +264,19 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 }
 
 // submitAndWait drives one job to a terminal state and surfaces non-done
-// endings as errors.
+// endings as errors. A job the submit answers already terminal (a cache
+// replay) opens no watch stream: that second round trip is not the
+// daemon's latency.
 func submitAndWait(ctx context.Context, client *service.Client, req service.JobRequest) error {
 	states, err := client.Submit(ctx, []service.JobRequest{req})
 	if err != nil {
 		return err
 	}
-	final, err := client.Wait(ctx, states[0].ID)
-	if err != nil {
-		return err
+	final := states[0]
+	if !final.Status.Terminal() {
+		if final, err = client.Wait(ctx, final.ID); err != nil {
+			return err
+		}
 	}
 	if final.Status != service.StatusDone {
 		return fmt.Errorf("job %s ended %s: %s", final.ID, final.Status, final.Error)

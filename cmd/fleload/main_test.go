@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/service"
@@ -15,7 +18,8 @@ import (
 // TestRunAgainstLiveDaemon drives a small mixed batch at a coordinator
 // daemon and checks the report's arithmetic: every request accounted for,
 // quantiles present for every exercised class, and the daemon's own stats
-// embedded.
+// embedded. Cached replays, which the submit answers already done, must
+// open no watch stream.
 func TestRunAgainstLiveDaemon(t *testing.T) {
 	srv, err := service.New(service.Config{
 		Role: service.RoleCoordinator, FleetChunk: 200, Parallel: 2, Workers: 1,
@@ -23,7 +27,18 @@ func TestRunAgainstLiveDaemon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	var (
+		mu      sync.Mutex
+		watches = map[string]int{} // job id → ?watch=1 requests
+	)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if id, ok := strings.CutPrefix(r.URL.Path, "/jobs/"); ok && r.URL.Query().Get("watch") != "" {
+			mu.Lock()
+			watches[id]++
+			mu.Unlock()
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
 	t.Cleanup(func() {
 		ts.Close()
 		srv.Close()
@@ -89,6 +104,22 @@ func TestRunAgainstLiveDaemon(t *testing.T) {
 	}
 	if rep.Stats.Fleet.ChunksCompleted == 0 {
 		t.Fatal("fresh jobs ran but no fleet chunks completed")
+	}
+	// Only the pre-warm, the one fresh run of the cached identity, may
+	// have watched it; the 10 replays must not.
+	cached, err := service.NewClient(ts.URL).Submit(context.Background(), []service.JobRequest{
+		{Scenario: "ring/basic-lead/fifo", N: 8, Trials: 500, Seed: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached[0].Status != service.StatusDone {
+		t.Fatalf("the pre-warmed identity is %s, not done", cached[0].Status)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if n := watches[cached[0].ID]; n > 1 {
+		t.Fatalf("the cached job was watched %d times, want at most once (the pre-warm)", n)
 	}
 }
 

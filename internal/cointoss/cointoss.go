@@ -146,17 +146,13 @@ var coinSink = engine.Sink[*CoinStats]{
 	Merge: func(dst, src *CoinStats) { dst.merge(src) },
 }
 
-// Trials runs the tosser repeatedly (fresh instance index per trial per
-// call) and aggregates. Tosses run in parallel on every CPU — the tosser
-// must be safe for concurrent use (ProtocolTosser and every tosser built
-// from ring.Run are) — with results identical to a sequential loop.
-func Trials(toss Tosser, trials int) (CoinStats, error) {
-	return TrialsOpts(context.Background(), toss, trials, Options{})
-}
-
-// TrialsOpts is Trials with a context and engine options. Tosses run
-// chunked (engine.RunBatch): each worker claims whole trial ranges, so the
-// tosser's per-instance work amortizes its arena's recycled state.
+// TrialsOpts runs the tosser repeatedly (fresh instance index per trial)
+// and aggregates. Tosses run in parallel on opts.Workers workers (0 means
+// every CPU) — the tosser must be safe for concurrent use (ProtocolTosser
+// and every tosser built from ring.Run are) — with results identical to a
+// sequential loop. They run chunked (engine.RunBatch): each worker claims
+// whole trial ranges, so the tosser's per-instance work amortizes its
+// arena's recycled state.
 func TrialsOpts(ctx context.Context, toss Tosser, trials int, opts Options) (CoinStats, error) {
 	job := engine.ChunkFunc(func(start, end int, arena *sim.Arena, add func(sim.Result)) (int, error) {
 		for t := start; t < end; t++ {
@@ -212,14 +208,9 @@ func ElectionBiasBound(n int, coinEpsilon float64) (float64, error) {
 	return p, nil
 }
 
-// ElectTrials runs the composite election repeatedly with per-trial derived
-// tossers and aggregates a leader distribution. Elections run in parallel
-// on every CPU; use ElectTrialsOpts to tune workers or cancellation.
-func ElectTrials(n int, mkTosser func(trial int) Tosser, trials int) (*ring.Distribution, error) {
-	return ElectTrialsOpts(context.Background(), n, mkTosser, trials, Options{})
-}
-
-// ElectTrialsOpts is ElectTrials with a context and engine options.
+// ElectTrialsOpts runs the composite election repeatedly with per-trial
+// derived tossers and aggregates a leader distribution. Elections run in
+// parallel on opts.Workers workers (0 means every CPU).
 func ElectTrialsOpts(ctx context.Context, n int, mkTosser func(trial int) Tosser, trials int, opts Options) (*ring.Distribution, error) {
 	if mkTosser == nil {
 		return nil, errors.New("cointoss: nil tosser factory")

@@ -1,6 +1,7 @@
 package cointoss
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 
 func TestHonestCoinIsFair(t *testing.T) {
 	toss := ProtocolTosser(16, alead.New(), 5)
-	s, err := Trials(toss, 2000)
+	s, err := TrialsOpts(context.Background(), toss, 2000, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestAttackedElectionBiasesCoin(t *testing.T) {
 		}
 		return TossArena(ring.Spec{N: n, Protocol: basiclead.New(), Deviation: dev, Seed: seed}, arena)
 	}
-	s, err := Trials(toss, 200)
+	s, err := TrialsOpts(context.Background(), toss, 200, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestElectViaCoinsUniform(t *testing.T) {
 	mk := func(trial int) Tosser {
 		return ProtocolTosser(n, alead.New(), int64(sim.Mix64(11, uint64(trial))))
 	}
-	dist, err := ElectTrials(n, mk, 1600)
+	dist, err := ElectTrialsOpts(context.Background(), n, mk, 1600, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

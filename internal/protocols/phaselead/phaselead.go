@@ -98,9 +98,8 @@ func NewDefault() Protocol { return Protocol{} }
 // Name implements ring.Protocol.
 func (Protocol) Name() string { return "PhaseAsyncLead" }
 
-// BatchSafe marks the protocol's strategies as fully re-initialized by Init
-// (they carry an explicit inited flag), so one strategy vector can serve
-// every trial of an engine chunk.
+// BatchSafe marks the protocol's strategies as fully re-initialized by Init,
+// so one strategy vector can serve every trial of an engine chunk.
 func (Protocol) BatchSafe() {}
 
 // DefaultL returns the paper's validation prefix length ⌈10√n⌉, clamped so
@@ -149,24 +148,9 @@ func (p Protocol) Strategies(n int) ([]sim.Strategy, error) {
 		return nil, err
 	}
 	strategies := make([]sim.Strategy, n)
-	// One backing array serves every processor's data/vals tables: a single
-	// allocation per trial instead of 2n, which matters because trial
-	// batches rebuild the strategy vector for every execution. The backing
-	// is freshly zeroed, exactly like the per-processor make calls it
-	// replaces.
-	backing := make([]int64, 2*n*(n+1))
-	carve := func() (data, vals []int64) {
-		data, vals = backing[:n+1:n+1], backing[n+1:2*(n+1):2*(n+1)]
-		backing = backing[2*(n+1):]
-		return data, vals
-	}
-	o := &origin{cfg: cfg}
-	o.data, o.vals = carve()
-	strategies[0] = o
+	strategies[0] = &origin{cfg: cfg}
 	for i := 1; i < n; i++ {
-		p := &normal{cfg: cfg, id: i + 1}
-		p.data, p.vals = carve()
-		strategies[i] = p
+		strategies[i] = &normal{cfg: cfg, id: i + 1}
 	}
 	return strategies, nil
 }
@@ -181,14 +165,10 @@ type normal struct {
 	buffer   int64
 	round    int
 	received int
-	inited   bool
-	data     []int64 // by label, 1..n
-	vals     []int64 // by round, 1..n
-	// acc is f's XOR-accumulator maintained incrementally: every slot of
-	// data[1..n] and vals[1..n−l] is written exactly once before
-	// termination, so folding each write's coordinate mix as it happens
-	// makes the final output a single Finalize instead of an O(n)
-	// re-evaluation per processor (which made f cost O(n²) per execution).
+	// acc is f's XOR-accumulator maintained incrementally: every data
+	// coordinate 1..n and validation coordinate 1..n−l arrives exactly once
+	// before termination, so folding each one's mix as it arrives makes the
+	// final output a single Finalize, and no processor stores the vectors.
 	acc uint64
 }
 
@@ -198,21 +178,9 @@ func (p *normal) Init(ctx *sim.Context) {
 	p.d = ctx.Rand().Int63n(int64(p.cfg.N))
 	p.v = ctx.Rand().Int63n(p.cfg.M)
 	p.buffer = p.d
-	if p.data == nil {
-		// Strategies built outside Protocol.Strategies (tests, deviations)
-		// have no pre-carved tables.
-		p.data = make([]int64, p.cfg.N+1)
-		p.vals = make([]int64, p.cfg.N+1)
-	} else if p.inited {
-		// Init must be idempotent: a strategy object re-run on a Reset
-		// network starts from zeroed state, exactly like a fresh one.
-		// First-time Inits skip this — carved tables arrive zeroed.
-		clear(p.data)
-		clear(p.vals)
-		p.round, p.received = 0, 0
-	}
-	p.inited = true
-	p.data[p.id] = p.d
+	// Init must be idempotent: a strategy object re-run on a Reset network
+	// starts from the state of a fresh one.
+	p.round, p.received = 0, 0
 	p.acc = p.cfg.F.CoordData(p.id, p.d)
 }
 
@@ -233,17 +201,14 @@ func (p *normal) receiveData(ctx *sim.Context, value int64) {
 	ctx.Send(p.buffer)
 	p.round++
 	p.buffer = value
-	lbl := p.cfg.Label(p.id - p.round)
-	p.data[lbl] = value
+	// Round n brings back the processor's own value, which line 16
+	// requires to equal d_i; its coordinate is in the accumulator from
+	// Init.
 	if p.round < p.cfg.N {
-		p.acc ^= p.cfg.F.CoordData(lbl, value)
+		p.acc ^= p.cfg.F.CoordData(p.cfg.Label(p.id-p.round), value)
 	}
-	// Round n rewrites slot id with the processor's own returning value,
-	// which line 16 requires to equal d_i — an identity write whose
-	// coordinate is already in the accumulator from Init.
 	if p.round == p.id {
 		// This processor is the round's validator: commit to v_i now.
-		p.vals[p.id] = p.v
 		if p.id <= p.cfg.N-p.cfg.L {
 			p.acc ^= p.cfg.F.CoordVal(p.id, p.v)
 		}
@@ -265,7 +230,6 @@ func (p *normal) receiveValidation(ctx *sim.Context, value int64) {
 			return
 		}
 	} else {
-		p.vals[p.round] = value
 		if p.round <= p.cfg.N-p.cfg.L {
 			p.acc ^= p.cfg.F.CoordVal(p.round, value)
 		}
@@ -285,9 +249,6 @@ type origin struct {
 	buffer   int64
 	round    int
 	received int
-	inited   bool
-	data     []int64
-	vals     []int64
 	acc      uint64 // incremental f accumulator; see normal.acc
 }
 
@@ -296,18 +257,7 @@ var _ sim.Strategy = (*origin)(nil)
 func (o *origin) Init(ctx *sim.Context) {
 	o.d = ctx.Rand().Int63n(int64(o.cfg.N))
 	o.v = ctx.Rand().Int63n(o.cfg.M)
-	if o.data == nil {
-		o.data = make([]int64, o.cfg.N+1)
-		o.vals = make([]int64, o.cfg.N+1)
-	} else if o.inited {
-		// See normal.Init: idempotence under strategy reuse.
-		clear(o.data)
-		clear(o.vals)
-		o.buffer, o.received = 0, 0
-	}
-	o.inited = true
-	o.data[1] = o.d
-	o.vals[1] = o.v
+	o.buffer, o.received = 0, 0 // see normal.Init: idempotence under reuse
 	o.acc = o.cfg.F.CoordData(1, o.d)
 	if 1 <= o.cfg.N-o.cfg.L {
 		o.acc ^= o.cfg.F.CoordVal(1, o.v)
@@ -332,12 +282,10 @@ func (o *origin) receiveData(ctx *sim.Context, value int64) {
 		return
 	}
 	o.buffer = value
-	lbl := o.cfg.Label(1 - o.round)
-	o.data[lbl] = value
+	// Round n brings back the origin's own value, accumulated in Init.
 	if o.round < o.cfg.N {
-		o.acc ^= o.cfg.F.CoordData(lbl, value)
+		o.acc ^= o.cfg.F.CoordData(o.cfg.Label(1-o.round), value)
 	}
-	// Round n's write is slot 1's identity rewrite, accumulated in Init.
 	if o.round == o.cfg.N && value != o.d {
 		ctx.Abort() // own data value failed to return
 	}
@@ -354,7 +302,6 @@ func (o *origin) receiveValidation(ctx *sim.Context, value int64) {
 			return
 		}
 	} else {
-		o.vals[o.round] = value
 		if o.round <= o.cfg.N-o.cfg.L {
 			o.acc ^= o.cfg.F.CoordVal(o.round, value)
 		}

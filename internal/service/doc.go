@@ -31,7 +31,9 @@
 // in-process. A coordinator splits distributable trial batches into chunk
 // leases at /chunks/* and merges the shards in chunk order, so results and
 // progress are byte-identical to a single node at any fleet size. A worker
-// owns no jobs and only claims chunks from the coordinator it joined.
+// owns no jobs and only claims chunks from the coordinator it joined. An
+// idle worker's claim waits on the coordinator, in the same queue as the
+// coordinator's own claimants, until a chunk is queued.
 //
 // The HTTP surface is GET /scenarios; POST /jobs and POST /certify
 // (batches); GET and DELETE /jobs/{id} and /certify/{id}, where GET with

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,12 +33,21 @@ const DefaultFleetChunk = 512
 // beats mark it dead and its chunks get re-issued.
 const DefaultLeaseTTL = 5 * time.Second
 
+// claimWait bounds how long a claim with Wait set is parked on the
+// coordinator before it is answered 204. It must stay below the claimant's
+// HTTP client timeout (30 s), or an idle worker's claims would fail.
+const claimWait = 10 * time.Second
+
 // ClaimRequest is the POST /chunks/claim payload: the claimant announces
 // its code version (chunk results computed by a different build must never
-// fold into a job's distribution) and a display name for stats.
+// fold into a job's distribution) and a display name for stats. With Wait
+// set, a claim that finds the queue empty is parked until a chunk is
+// queued, for at most claimWait; without it the coordinator answers at
+// once, which is what a claimant needs for its join handshake.
 type ClaimRequest struct {
 	Version string `json:"version"`
 	Node    string `json:"node,omitempty"`
+	Wait    bool   `json:"wait,omitempty"`
 }
 
 // ChunkLease answers a successful claim: one trial range of one job,
@@ -110,11 +120,11 @@ type fleet struct {
 	ttl       time.Duration
 
 	mu        sync.Mutex
-	cond      *sync.Cond // signaled when queue gains work or the fleet closes
+	wake      chan struct{} // closed and replaced when queue gains work
 	queue     []*fleetChunk
 	leased    map[int64]*fleetChunk
 	nextLease int64
-	closed    bool
+	waiting   int // claims parked on wake
 
 	enqueued  atomic.Int64 // chunks created
 	completed atomic.Int64 // chunk results folded in
@@ -132,6 +142,7 @@ func newFleet(s *Scheduler) *fleet {
 		chunkSize: s.cfg.FleetChunk,
 		ttl:       s.cfg.LeaseTTL,
 		leased:    make(map[int64]*fleetChunk),
+		wake:      make(chan struct{}),
 	}
 	if f.chunkSize <= 0 {
 		f.chunkSize = DefaultFleetChunk
@@ -139,7 +150,6 @@ func newFleet(s *Scheduler) *fleet {
 	if f.ttl <= 0 {
 		f.ttl = DefaultLeaseTTL
 	}
-	f.cond = sync.NewCond(&f.mu)
 	s.wg.Add(1)
 	go f.janitor()
 	for i := 0; i < s.cfg.Parallel; i++ {
@@ -149,9 +159,8 @@ func newFleet(s *Scheduler) *fleet {
 	return f
 }
 
-// janitor periodically reclaims expired leases and wakes blocked local
-// claimants; it also propagates scheduler shutdown into the cond so no
-// claimant sleeps through Close.
+// janitor periodically reclaims expired leases, even when every claimant
+// is parked and no claim traffic arrives.
 func (f *fleet) janitor() {
 	defer f.s.wg.Done()
 	ticker := time.NewTicker(f.ttl / 2)
@@ -159,20 +168,19 @@ func (f *fleet) janitor() {
 	for {
 		select {
 		case <-f.s.baseCtx.Done():
-			f.mu.Lock()
-			f.closed = true
-			f.cond.Broadcast()
-			f.mu.Unlock()
 			return
 		case <-ticker.C:
 			f.mu.Lock()
 			f.reclaimExpiredLocked()
-			if len(f.queue) > 0 {
-				f.cond.Broadcast()
-			}
 			f.mu.Unlock()
 		}
 	}
+}
+
+// wakeLocked wakes every waiting claim. Callers hold f.mu.
+func (f *fleet) wakeLocked() {
+	close(f.wake)
+	f.wake = make(chan struct{})
 }
 
 // enqueue decomposes one fresh job into leasable chunks and returns its
@@ -199,16 +207,17 @@ func (f *fleet) enqueue(j *Job, sc scenario.Scenario, opts scenario.Opts) *fleet
 		f.queue = append(f.queue, &fleetChunk{task: task, index: i, start: start, end: end})
 	}
 	f.enqueued.Add(int64(task.chunks))
-	f.cond.Broadcast()
+	f.wakeLocked()
 	f.mu.Unlock()
 	return task
 }
 
 // reclaimExpiredLocked sweeps the lease table: expired chunks of live
-// tasks rejoin the queue under a fresh claim; chunks of dead tasks are
-// dropped. Callers hold f.mu.
+// tasks rejoin the queue under a fresh claim, waking waiting claims;
+// chunks of dead tasks are dropped. Callers hold f.mu.
 func (f *fleet) reclaimExpiredLocked() {
 	now := time.Now()
+	requeued := false
 	for id, c := range f.leased {
 		if now.Before(c.expires) {
 			continue
@@ -218,7 +227,11 @@ func (f *fleet) reclaimExpiredLocked() {
 		if !c.task.aborted {
 			f.queue = append(f.queue, c)
 			f.reissued.Add(1)
+			requeued = true
 		}
+	}
+	if requeued {
+		f.wakeLocked()
 	}
 }
 
@@ -245,20 +258,61 @@ func (f *fleet) leaseLocked(c *fleetChunk) {
 	f.leased[c.lease] = c
 }
 
-// claimRemote hands one chunk to an HTTP claimant, or nil when no work is
-// queued. Remote claimants poll; only local claimants block.
-func (f *fleet) claimRemote() *ChunkLease {
+// claim is the one claim path of local and HTTP claimants: it reclaims
+// expired leases and leases the next queued chunk. With none queued it
+// waits until a chunk is queued, the scheduler closes or ctx ends,
+// returning nil in the last two cases; a ctx that has already ended makes
+// it a single non-blocking look at the queue.
+func (f *fleet) claim(ctx context.Context) *fleetChunk {
+	closing := f.s.baseCtx
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
-		return nil
+	for closing.Err() == nil {
+		f.reclaimExpiredLocked()
+		if c := f.popLocked(); c != nil {
+			f.leaseLocked(c)
+			return c
+		}
+		if ctx.Err() != nil {
+			return nil
+		}
+		wake := f.wake
+		f.waiting++
+		f.mu.Unlock()
+		select {
+		case <-wake:
+		case <-ctx.Done():
+		case <-closing.Done():
+		}
+		f.mu.Lock()
+		f.waiting--
 	}
-	f.reclaimExpiredLocked()
-	c := f.popLocked()
+	return nil
+}
+
+// claimRemote leases one chunk to an HTTP claimant, waiting up to wait
+// for one to be queued, or returns nil when none came. ctx is the
+// claimant's request: a chunk that arrives just as the claimant hangs up
+// goes back to the front of the queue unleased, instead of sitting idle
+// for a full TTL under a lease nobody holds.
+func (f *fleet) claimRemote(ctx context.Context, wait time.Duration) *ChunkLease {
+	waitCtx, cancel := context.WithTimeout(ctx, wait)
+	defer cancel()
+	c := f.claim(waitCtx)
 	if c == nil {
 		return nil
 	}
-	f.leaseLocked(c)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if ctx.Err() != nil {
+		if f.leased[c.lease] == c { // else its task died or the lease expired meanwhile
+			delete(f.leased, c.lease)
+			c.lease = 0
+			f.queue = slices.Insert(f.queue, 0, c)
+			f.wakeLocked()
+		}
+		return nil
+	}
 	f.remote.Add(1)
 	return &ChunkLease{
 		Lease:    c.lease,
@@ -266,24 +320,6 @@ func (f *fleet) claimRemote() *ChunkLease {
 		Start:    c.start,
 		End:      c.end,
 		TTLMilli: f.ttl.Milliseconds(),
-	}
-}
-
-// claimBlocking waits for a chunk for a local claimant, returning nil when
-// the fleet shuts down.
-func (f *fleet) claimBlocking() *fleetChunk {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for {
-		if f.closed {
-			return nil
-		}
-		f.reclaimExpiredLocked()
-		if c := f.popLocked(); c != nil {
-			f.leaseLocked(c)
-			return c
-		}
-		f.cond.Wait()
 	}
 }
 
@@ -389,7 +425,7 @@ func (f *fleet) abort(t *fleetTask) {
 func (f *fleet) localClaimant() {
 	defer f.s.wg.Done()
 	for {
-		c := f.claimBlocking()
+		c := f.claim(f.s.baseCtx)
 		if c == nil {
 			return
 		}

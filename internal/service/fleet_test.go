@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -46,6 +47,72 @@ func waitResult(t *testing.T, client *Client, req JobRequest) JobState {
 		t.Fatal(err)
 	}
 	return final
+}
+
+// waitUntil polls cond until it holds, failing the test with what after
+// 10 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatal(what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// waitClaimsWaiting waits until at least n claims are parked on the
+// coordinator's queue, its local claimants included.
+func waitClaimsWaiting(t *testing.T, srv *Server, n int) {
+	t.Helper()
+	waitUntil(t, fmt.Sprintf("fewer than %d claims ever waited for work", n), func() bool {
+		return srv.Scheduler().Stats().Fleet.ClaimsWaiting >= n
+	})
+}
+
+// holdLocalClaimant submits blocker, a job of one long chunk, and waits
+// until the coordinator's single local claimant runs it, so the chunks of
+// the next job have no local taker until the blocker is canceled. It
+// returns the blocker's id.
+func holdLocalClaimant(t *testing.T, srv *Server, client *Client, blocker JobRequest) string {
+	t.Helper()
+	states, err := client.Submit(context.Background(), []JobRequest{blocker})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "the local claimant never picked up the blocking job", func() bool {
+		return srv.Scheduler().Stats().Workers.Busy > 0
+	})
+	return states[0].ID
+}
+
+// claimAnswer is the outcome of one raw chunk claim.
+type claimAnswer struct {
+	resp *http.Response
+	err  error
+}
+
+// claimAsync sends one raw chunk claim to a coordinator on its own
+// goroutine and delivers the answer.
+func claimAsync(base string, claim ClaimRequest) <-chan claimAnswer {
+	answered := make(chan claimAnswer, 1)
+	go func() {
+		body, _ := json.Marshal(claim)
+		resp, err := http.Post(base+"/chunks/claim", "application/json", bytes.NewReader(body))
+		answered <- claimAnswer{resp, err}
+	}()
+	return answered
+}
+
+// postClaim sends one raw chunk claim to a coordinator and returns the
+// answer.
+func postClaim(t *testing.T, base string, claim ClaimRequest) *http.Response {
+	t.Helper()
+	a := <-claimAsync(base, claim)
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	return a.resp
 }
 
 // TestFleetCoordinatorAloneByteIdentity pins the tentpole invariant at
@@ -187,28 +254,13 @@ func TestFleetDeadClaimantReissue(t *testing.T) {
 	// single local claimant is first held busy on a long one-chunk job,
 	// which is canceled only once the claim has landed. Without it the
 	// local claimant can drain the whole batch before the claim arrives.
-	blocker, err := client.Submit(context.Background(), []JobRequest{
-		{Scenario: "ring/a-lead/fifo", N: 1024, Trials: 500, Seed: 14},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for deadline := time.Now().Add(10 * time.Second); srv.Scheduler().Stats().Workers.Busy == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("the local claimant never picked up the blocking job")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	blocker := holdLocalClaimant(t, srv, client, JobRequest{Scenario: "ring/a-lead/fifo", N: 1024, Trials: 500, Seed: 14})
 	states, err := client.Submit(context.Background(), []JobRequest{req})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Claim one chunk as a worker that immediately dies.
-	body, _ := json.Marshal(ClaimRequest{Version: srv.Scheduler().Version(), Node: "doomed"})
-	resp, err := http.Post(client.BaseURL()+"/chunks/claim", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := postClaim(t, client.BaseURL(), ClaimRequest{Version: srv.Scheduler().Version(), Node: "doomed"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("claim = %d, want a lease while the batch is fresh", resp.StatusCode)
 	}
@@ -217,7 +269,7 @@ func TestFleetDeadClaimantReissue(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if err := client.Cancel(context.Background(), blocker[0].ID); err != nil {
+	if err := client.Cancel(context.Background(), blocker); err != nil {
 		t.Fatalf("cancel blocker: %v", err)
 	}
 
@@ -238,7 +290,7 @@ func TestFleetDeadClaimantReissue(t *testing.T) {
 		t.Fatal("abandoned lease was never re-issued")
 	}
 	// The dead claimant's lease is gone: a late result must bounce.
-	body, _ = json.Marshal(ChunkResult{Lease: lease.Lease, Dist: nil, Error: ""})
+	body, _ := json.Marshal(ChunkResult{Lease: lease.Lease, Dist: nil, Error: ""})
 	late, err := http.Post(client.BaseURL()+"/chunks/result", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -275,6 +327,9 @@ func TestFleetWorkersEndToEnd(t *testing.T) {
 
 	req := JobRequest{Scenario: "ring/a-lead/fifo", N: 24, Trials: 60000, Seed: 21}
 	want := directBytes(t, req)
+	// Beyond the local claimant, a worker's claim is parked on the queue,
+	// so the job's first chunks wake it along with the local claimant.
+	waitClaimsWaiting(t, coord, 2)
 	states, err := client.Submit(context.Background(), []JobRequest{req})
 	if err != nil {
 		t.Fatal(err)
@@ -326,6 +381,7 @@ func TestFleetWorkerHeartbeatKeepsLongChunkAlive(t *testing.T) {
 
 	req := JobRequest{Scenario: "ring/a-lead/fifo", N: 24, Trials: 100000, Seed: 55}
 	want := directBytes(t, req)
+	waitClaimsWaiting(t, coord, 2)
 	final := waitResult(t, client, req)
 	if final.Status != StatusDone {
 		t.Fatalf("job ended %s: %s", final.Status, final.Error)
@@ -352,17 +408,16 @@ func TestFleetChunkErrorFailsWholeJob(t *testing.T) {
 	srv, client := newTestServer(t, Config{
 		Version: "fleet-cherr", Role: RoleCoordinator, FleetChunk: 300, Parallel: 1,
 	})
+	// The saboteur's claim must win a chunk: the local claimant is held
+	// busy on a one-chunk job until the claim has landed.
+	blocker := holdLocalClaimant(t, srv, client, JobRequest{Scenario: "ring/a-lead/fifo", N: 1024, Trials: 300, Seed: 92})
 	req := JobRequest{Scenario: "ring/a-lead/fifo", N: 24, Trials: 60000, Seed: 91}
 	states, err := client.Submit(context.Background(), []JobRequest{req})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Claim one chunk as a remote worker and report a failure for it.
-	body, _ := json.Marshal(ClaimRequest{Version: srv.Scheduler().Version(), Node: "saboteur"})
-	resp, err := http.Post(client.BaseURL()+"/chunks/claim", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := postClaim(t, client.BaseURL(), ClaimRequest{Version: srv.Scheduler().Version(), Node: "saboteur"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("claim = %d", resp.StatusCode)
 	}
@@ -371,7 +426,10 @@ func TestFleetChunkErrorFailsWholeJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	body, _ = json.Marshal(ChunkResult{Lease: lease.Lease, Error: "arena caught fire"})
+	if err := client.Cancel(context.Background(), blocker); err != nil {
+		t.Fatalf("cancel blocker: %v", err)
+	}
+	body, _ := json.Marshal(ChunkResult{Lease: lease.Lease, Error: "arena caught fire"})
 	rr, err := http.Post(client.BaseURL()+"/chunks/result", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -392,6 +450,136 @@ func TestFleetChunkErrorFailsWholeJob(t *testing.T) {
 	}
 }
 
+// TestFleetWaitingClaimGetsNextJob pins the parked claim: with the local
+// claimant busy, a claim that asks to wait and arrives before any job
+// exists is answered with a lease of the job submitted after it, while the
+// same claim without wait is answered 204 at once.
+func TestFleetWaitingClaimGetsNextJob(t *testing.T) {
+	srv, client := newTestServer(t, Config{
+		Version: "fleet-wait", Role: RoleCoordinator, FleetChunk: 500, Parallel: 1,
+	})
+	blocker := holdLocalClaimant(t, srv, client, JobRequest{Scenario: "ring/a-lead/fifo", N: 1024, Trials: 500, Seed: 71})
+	claim := ClaimRequest{Version: srv.Scheduler().Version(), Node: "idle"}
+	resp := postClaim(t, client.BaseURL(), claim)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("claim without wait on an empty queue = %d, want 204", resp.StatusCode)
+	}
+
+	claim.Wait = true
+	answered := claimAsync(client.BaseURL(), claim)
+	waitClaimsWaiting(t, srv, 1) // the local claimant is busy: this is the HTTP claim
+	req := JobRequest{Scenario: "ring/basic-lead/fifo", N: 8, Trials: 1000, Seed: 72}
+	if _, err := client.Submit(context.Background(), []JobRequest{req}); err != nil {
+		t.Fatal(err)
+	}
+	var a claimAnswer
+	select {
+	case a = <-answered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the waiting claim was not answered when the job was queued")
+	}
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	defer a.resp.Body.Close()
+	if a.resp.StatusCode != http.StatusOK {
+		t.Fatalf("waiting claim = %d, want a lease of the job queued after it", a.resp.StatusCode)
+	}
+	var lease ChunkLease
+	if err := json.NewDecoder(a.resp.Body).Decode(&lease); err != nil {
+		t.Fatal(err)
+	}
+	if lease.Job != req || lease.Start != 0 {
+		t.Fatalf("waiting claim leased %+v [%d, %d), want the first chunk of %+v", lease.Job, lease.Start, lease.End, req)
+	}
+	if err := client.Cancel(context.Background(), blocker); err != nil {
+		t.Fatalf("cancel blocker: %v", err)
+	}
+}
+
+// TestFleetCloseEndsWaitingClaims pins shutdown with parked claims:
+// closing a coordinator answers its waiting claims with 204, and closing a
+// worker cancels the claim it has parked, both well inside claimWait.
+func TestFleetCloseEndsWaitingClaims(t *testing.T) {
+	srv, client := newTestServer(t, Config{Version: "fleet-close", Role: RoleCoordinator})
+	answered := claimAsync(client.BaseURL(), ClaimRequest{Version: srv.Scheduler().Version(), Wait: true})
+	waitClaimsWaiting(t, srv, 2) // the idle local claimant and the HTTP claim
+	srv.Close()
+	select {
+	case a := <-answered:
+		if a.err != nil {
+			t.Fatal(a.err)
+		}
+		a.resp.Body.Close()
+		if a.resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("waiting claim at coordinator close = %d, want 204", a.resp.StatusCode)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a waiting claim was still unanswered 1 s after its coordinator closed")
+	}
+
+	coord, coordClient := newTestServer(t, Config{Version: "fleet-close", Role: RoleCoordinator})
+	w, err := New(Config{Version: "fleet-close", Role: RoleWorker, Join: coordClient.BaseURL(), Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitClaimsWaiting(t, coord, 2) // the idle local claimant and the worker's claim
+	closed := make(chan struct{})
+	go func() {
+		w.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("worker Close was still blocked on its waiting claim after 1 s")
+	}
+}
+
+// TestFleetClaimContext pins the claim path's context handling below
+// HTTP: a claim whose context has ended takes a look at the queue and
+// returns, a parked claim returns when its context ends, and a chunk won
+// for a claimant that has hung up goes back to the front of the queue
+// unleased.
+func TestFleetClaimContext(t *testing.T) {
+	f := &fleet{
+		s:   &Scheduler{baseCtx: context.Background()},
+		ttl: time.Minute, leased: make(map[int64]*fleetChunk), wake: make(chan struct{}),
+	}
+	ended, cancel := context.WithCancel(context.Background())
+	cancel()
+	if c := f.claim(ended); c != nil {
+		t.Fatalf("claim on an empty queue returned chunk %+v", c)
+	}
+	short, cancelShort := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancelShort()
+	if c := f.claim(short); c != nil {
+		t.Fatalf("parked claim returned chunk %+v", c)
+	}
+	if f.waiting != 0 {
+		t.Fatalf("%d claims still counted as waiting after their context ended", f.waiting)
+	}
+
+	task := &fleetTask{job: &Job{Req: JobRequest{Scenario: "ring/basic-lead/fifo", Seed: 1}}}
+	first := &fleetChunk{task: task, index: 0, start: 0, end: 10}
+	second := &fleetChunk{task: task, index: 1, start: 10, end: 20}
+	f.queue = []*fleetChunk{first, second}
+	if lease := f.claimRemote(ended, claimWait); lease != nil {
+		t.Fatalf("a claimant that hung up was leased %+v", lease)
+	}
+	if len(f.leased) != 0 || first.lease != 0 {
+		t.Fatalf("a claimant that hung up left %d leases behind", len(f.leased))
+	}
+	if len(f.queue) != 2 || f.queue[0] != first {
+		t.Fatal("the chunk won for a claimant that hung up is not back at the front of the queue")
+	}
+	lease := f.claimRemote(context.Background(), 0)
+	if lease == nil || lease.Start != 0 || lease.End != 10 || len(f.leased) != 1 {
+		t.Fatalf("claim without wait = %+v with %d leases, want the first chunk leased", lease, len(f.leased))
+	}
+}
+
 // TestWorkerStatsSurface pins the worker node's observability: /statz on a
 // worker reports its role and its claim-loop counters. The worker is
 // certain to get work: it joins only once the coordinator's single local
@@ -402,20 +590,9 @@ func TestWorkerStatsSurface(t *testing.T) {
 		Version: "fleet-wstats", Role: RoleCoordinator, FleetChunk: DefaultMaxTrials, Parallel: 1,
 	})
 	ctx := context.Background()
-	blocker, err := coordClient.Submit(ctx, []JobRequest{
-		{Scenario: "ring/a-lead/fifo", N: 24, Trials: DefaultMaxTrials, Seed: 60},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = coordClient.Cancel(ctx, blocker[0].ID) })
-	deadline := time.Now().Add(10 * time.Second)
-	for coord.Scheduler().Stats().Workers.Busy == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("the local claimant never picked up the blocking job")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	blocker := holdLocalClaimant(t, coord, coordClient,
+		JobRequest{Scenario: "ring/a-lead/fifo", N: 24, Trials: DefaultMaxTrials, Seed: 60})
+	t.Cleanup(func() { _ = coordClient.Cancel(ctx, blocker) })
 
 	w, err := New(Config{Version: "fleet-wstats", Role: RoleWorker, Join: coordClient.BaseURL(), Parallel: 2})
 	if err != nil {
@@ -432,7 +609,7 @@ func TestWorkerStatsSurface(t *testing.T) {
 	if final.Status != StatusDone {
 		t.Fatalf("job ended %s: %s", final.Status, final.Error)
 	}
-	deadline = time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
 	for {
 		st, err := wClient.Stats(ctx)
 		if err != nil {

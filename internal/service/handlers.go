@@ -248,9 +248,10 @@ func serveWatchable(w http.ResponseWriter, r *http.Request, done <-chan struct{}
 }
 
 // handleChunkClaim leases one queued trial chunk to a fleet claimant: 200
-// with the lease, 204 when nothing is queued, 409 when the claimant's code
-// version differs from the coordinator's (shards from a different build
-// must never fold into a job).
+// with the lease, 204 when nothing is queued (after waiting up to
+// claimWait for a chunk if the claim asked to wait), 409 when the
+// claimant's code version differs from the coordinator's (shards from a
+// different build must never fold into a job).
 func (s *Server) handleChunkClaim(w http.ResponseWriter, r *http.Request) {
 	var req ClaimRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
@@ -263,7 +264,11 @@ func (s *Server) handleChunkClaim(w http.ResponseWriter, r *http.Request) {
 			s.sched.Version(), req.Version)
 		return
 	}
-	lease := s.sched.fleet.claimRemote()
+	var wait time.Duration
+	if req.Wait {
+		wait = claimWait
+	}
+	lease := s.sched.fleet.claimRemote(r.Context(), wait)
 	if lease == nil {
 		w.WriteHeader(http.StatusNoContent)
 		return

@@ -433,16 +433,17 @@ type Stats struct {
 		Errors  int64 `json:"errors"`
 	} `json:"disk"`
 	// Fleet reports the node's role and chunk-exchange counters. On a
-	// coordinator, the chunk fields cover the lease lifecycle (queued and
-	// leased are instantaneous, the rest cumulative); on a worker, the
-	// claimed/done/errors counters cover its claim loop. A single node
-	// reports only its role.
+	// coordinator, the chunk fields cover the lease lifecycle (queued,
+	// leased and the claims waiting for work are instantaneous, the rest
+	// cumulative); on a worker, the claimed/done/errors counters cover its
+	// claim loop. A single node reports only its role.
 	Fleet struct {
 		Role            string `json:"role"`
 		ChunkTrials     int    `json:"chunk_trials,omitempty"`
 		LeaseTTLMillis  int64  `json:"lease_ttl_ms,omitempty"`
 		ChunksQueued    int    `json:"chunks_queued,omitempty"`
 		ChunksLeased    int    `json:"chunks_leased,omitempty"`
+		ClaimsWaiting   int    `json:"claims_waiting,omitempty"`
 		ChunksEnqueued  int64  `json:"chunks_enqueued,omitempty"`
 		ChunksCompleted int64  `json:"chunks_completed,omitempty"`
 		Reissued        int64  `json:"reissued,omitempty"`
@@ -508,6 +509,7 @@ func (s *Scheduler) Stats() Stats {
 		f.mu.Lock()
 		st.Fleet.ChunksQueued = len(f.queue)
 		st.Fleet.ChunksLeased = len(f.leased)
+		st.Fleet.ClaimsWaiting = f.waiting
 		f.mu.Unlock()
 		st.Fleet.ChunksEnqueued = f.enqueued.Load()
 		st.Fleet.ChunksCompleted = f.completed.Load()

@@ -30,8 +30,10 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
-		ts.Close()
+		// Scheduler first: closing it answers every parked chunk claim,
+		// and ts.Close blocks until outstanding requests finish.
 		srv.Close()
+		ts.Close()
 	})
 	return srv, NewClient(ts.URL)
 }

@@ -13,8 +13,10 @@ import (
 	"repro/internal/scenario"
 )
 
-// workerPollInterval is how long an idle worker waits between claim
-// attempts when the coordinator has no queued chunks.
+// workerPollInterval is the shortest time between two waiting claims of
+// an idle claimant. A coordinator parks a waiting claim until work
+// arrives, so only one that answers it at once (an older build, which
+// ignores the wait flag) sees claims this often.
 const workerPollInterval = 150 * time.Millisecond
 
 // workerRetryInterval is the back-off after a claim transport error or a
@@ -22,8 +24,8 @@ const workerPollInterval = 150 * time.Millisecond
 // hot retry loop.
 const workerRetryInterval = time.Second
 
-// Worker is a fleet worker node's claim loop: it polls its coordinator
-// for chunk leases, runs each leased trial range through the exact
+// Worker is a fleet worker node's claim loop: it claims chunk leases from
+// its coordinator, runs each leased trial range through the exact
 // deterministic shard path a local run uses, heartbeats while running,
 // and reports the shard distribution back. Workers hold no job state —
 // if one dies, its leases expire and the coordinator re-issues the chunks.
@@ -46,7 +48,7 @@ func newWorker(s *Scheduler) *Worker {
 		s:      s,
 		join:   s.cfg.Join,
 		node:   fmt.Sprintf("%s-%d", host, os.Getpid()),
-		client: &http.Client{Timeout: 30 * time.Second},
+		client: &http.Client{Timeout: 30 * time.Second}, // must exceed claimWait
 	}
 	for i := 0; i < s.cfg.Parallel; i++ {
 		s.wg.Add(1)
@@ -61,19 +63,34 @@ func (w *Worker) Counters() (claimed, done, errs int64) {
 }
 
 // loop is one claimant: claim, run, report, forever. It exits when the
-// scheduler closes.
+// scheduler closes, which also cancels a claim parked on the coordinator.
+//
+// The first claim, and the first after an error, is the join handshake: it
+// does not wait, so a version mismatch or an unreachable coordinator shows
+// at once. Every later claim waits on the coordinator for work. A 204 that
+// came back sooner than workerPollInterval to a waiting claim means the
+// coordinator does not park claims, so the loop paces itself instead.
 func (w *Worker) loop() {
 	defer w.s.wg.Done()
 	ctx := w.s.baseCtx
+	wait := false
 	for ctx.Err() == nil {
-		lease, retryIn, err := w.claim(ctx)
+		sent := time.Now()
+		lease, err := w.claim(ctx, wait)
 		switch {
+		case ctx.Err() != nil:
+			// Closed mid-claim: the canceled request is no error.
 		case err != nil:
 			w.errs.Add(1)
-			sleepCtx(ctx, retryIn)
+			wait = false
+			sleepCtx(ctx, workerRetryInterval)
 		case lease == nil:
-			sleepCtx(ctx, retryIn)
+			if wait {
+				sleepCtx(ctx, workerPollInterval-time.Since(sent))
+			}
+			wait = true
 		default:
+			wait = true
 			w.claimed.Add(1)
 			w.runLease(ctx, lease)
 		}
@@ -90,29 +107,29 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 	}
 }
 
-// claim asks the coordinator for one chunk. It returns (nil, wait, nil)
-// when no work is queued and (nil, wait, err) on transport errors or a
-// version mismatch, with wait the appropriate re-poll delay.
-func (w *Worker) claim(ctx context.Context) (*ChunkLease, time.Duration, error) {
-	body, _ := json.Marshal(ClaimRequest{Version: w.s.version, Node: w.node})
+// claim asks the coordinator for one chunk, letting it park the claim
+// until work arrives when wait is set. It returns (nil, nil) when no work
+// came and (nil, err) on transport errors or a version mismatch.
+func (w *Worker) claim(ctx context.Context, wait bool) (*ChunkLease, error) {
+	body, _ := json.Marshal(ClaimRequest{Version: w.s.version, Node: w.node, Wait: wait})
 	resp, err := w.post(ctx, "/chunks/claim", body)
 	if err != nil {
-		return nil, workerRetryInterval, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusNoContent:
-		return nil, workerPollInterval, nil
+		return nil, nil
 	case http.StatusConflict:
-		return nil, workerRetryInterval, fmt.Errorf("service: version mismatch with coordinator %s", w.join)
+		return nil, fmt.Errorf("service: version mismatch with coordinator %s", w.join)
 	case http.StatusOK:
 		var lease ChunkLease
 		if err := json.NewDecoder(resp.Body).Decode(&lease); err != nil {
-			return nil, workerRetryInterval, fmt.Errorf("service: bad lease: %w", err)
+			return nil, fmt.Errorf("service: bad lease: %w", err)
 		}
-		return &lease, 0, nil
+		return &lease, nil
 	default:
-		return nil, workerRetryInterval, fmt.Errorf("service: claim: coordinator returned %s", resp.Status)
+		return nil, fmt.Errorf("service: claim: coordinator returned %s", resp.Status)
 	}
 }
 

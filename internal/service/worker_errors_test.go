@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -172,4 +173,58 @@ func TestWorkerGivesUpAfterRepeatedResultRejections(t *testing.T) {
 	waitCounters(t, w, func(claimed, done, errs int64) bool {
 		return claimed == 1 && done == 0 && errs >= 1
 	})
+}
+
+// TestWorkerPacesImmediateEmptyAnswers pins the claim loop against a
+// coordinator that answers every claim 204 at once, as a build that
+// ignores the wait flag does: the worker must not spin. Its first claim is
+// the join handshake and does not wait; every later one asks to.
+func TestWorkerPacesImmediateEmptyAnswers(t *testing.T) {
+	var (
+		mu     sync.Mutex
+		claims []ClaimRequest
+		at     []time.Time
+	)
+	coord := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		var req ClaimRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			t.Errorf("bad claim body: %v", err)
+		}
+		mu.Lock()
+		claims = append(claims, req)
+		at = append(at, time.Now())
+		mu.Unlock()
+		rw.WriteHeader(http.StatusNoContent)
+	}))
+	defer coord.Close()
+
+	w, err := New(Config{Version: "fleet-pace", Role: RoleWorker, Join: coord.URL, Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(1200 * time.Millisecond)
+	w.Close()
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(claims) < 2 {
+		t.Fatalf("worker sent %d claims in 1.2 s, want at least 2", len(claims))
+	}
+	inFirstSecond := 0
+	for _, ts := range at {
+		if ts.Sub(at[0]) < time.Second {
+			inFirstSecond++
+		}
+	}
+	if inFirstSecond > 8 {
+		t.Fatalf("worker sent %d claims within 1 s to a coordinator answering 204 at once, want at most 8", inFirstSecond)
+	}
+	if claims[0].Wait {
+		t.Fatal("the handshake claim asked to wait")
+	}
+	for i, c := range claims[1:] {
+		if !c.Wait {
+			t.Fatalf("claim %d after the handshake did not ask to wait", i+1)
+		}
+	}
 }
