@@ -20,6 +20,15 @@
 // simulated as its own tiny network, so the per-event cost is bounded by the
 // active group's size, never by n: idle groups cost zero.
 //
+// With A-LEADuni groups, a Runner simulates every block of alead.Lanes (16)
+// consecutive honest groups of one size as one lane execution
+// (alead.LaneRunner): a single ring whose messages carry one value per
+// group, which pays the kernel's per-message cost once for the block. An
+// honest A-LEADuni schedule does not depend on its values, so each lane's
+// result is exactly that group's scalar run; the differential tests pin the
+// composed trial against a composition of per-group scalar runs. Groups left
+// over after the last whole block, and an attacked group, run one at a time.
+//
 // The composition inherits the inner protocol's resilience. With Basic-LEAD
 // groups, the single delegate-rush adversary (see Election.AttackRunner)
 // forces any target with probability 1, exactly as Claim B.1 breaks the flat
@@ -220,6 +229,19 @@ func (e *Election) runner(target int64) (*Runner, error) {
 			return nil, fmt.Errorf("committee: inner strategies: %w", err)
 		}
 	}
+	if e.inner == InnerALead {
+		// Lane runners only for a size with at least one whole block.
+		if e.g-rem >= alead.Lanes {
+			if r.lanesSmall, err = alead.NewLaneRunner(base); err != nil {
+				return nil, fmt.Errorf("committee: inner lanes: %w", err)
+			}
+		}
+		if rem >= alead.Lanes {
+			if r.lanesBig, err = alead.NewLaneRunner(base + 1); err != nil {
+				return nil, fmt.Errorf("committee: inner lanes: %w", err)
+			}
+		}
+	}
 	r.l2 = e.level2Strategies()
 	if target != 0 {
 		r.atkGroup = e.GroupOf(target)
@@ -259,7 +281,8 @@ func (e *Election) level2Strategies() []sim.Strategy {
 // set at O(√n). It belongs to one goroutine; the engine builds one per
 // work-claim chunk. The honest in-group strategy vectors are shared by all
 // groups of a size — both inner protocols are batch-safe, so Init fully
-// re-establishes state between group runs.
+// re-establishes state between group runs — and so are the lane runners,
+// which run on the same per-size arenas.
 type Runner struct {
 	e          *Election
 	arenaBig   *sim.Arena // groups of size base+1 (nil when n ≡ 0 mod g)
@@ -268,6 +291,10 @@ type Runner struct {
 	big, small []sim.Strategy
 	l2         []sim.Strategy
 	winners    []int64
+
+	// Lane runners for blocks of alead.Lanes consecutive honest groups of
+	// one size (InnerALead only; nil for a size with no whole block).
+	lanesBig, lanesSmall *alead.LaneRunner
 
 	// Attack state; target 0 means honest.
 	target   int64
@@ -284,17 +311,38 @@ func (r *Runner) Winners() []int64 { return r.winners }
 
 // Run executes one composed trial: the g in-group elections in group order,
 // then the delegate circulation, composing the sub-results into one
-// sim.Result. Sub-elections fail fast — the first failing group's reason
-// becomes the trial's reason, with message counters covering the work
-// actually done. The announcement traffic of a successful trial (g delegate
-// reports plus the ring-wide broadcast of the final leader) carries no
-// election-relevant choices, so it is accounted analytically rather than
-// simulated. The returned Result has nil Outputs/Statuses: per-processor
-// state of a composed trial lives in the sub-networks.
+// sim.Result. Under InnerALead every block of alead.Lanes consecutive honest
+// groups of one size runs as one lane execution, which returns exactly the
+// results of the block's scalar group runs; the groups left over, and an
+// attacked group, run one at a time. Sub-elections fail fast — the first
+// failing group's reason becomes the trial's reason, with message counters
+// covering the groups up to and including it. The announcement traffic of a
+// successful trial (g delegate reports plus the ring-wide broadcast of the
+// final leader) carries no election-relevant choices, so it is accounted
+// analytically rather than simulated. The returned Result has nil
+// Outputs/Statuses: per-processor state of a composed trial lives in the
+// sub-networks.
 func (r *Runner) Run(trialSeed int64) (sim.Result, error) {
 	e := r.e
 	var agg sim.Result
-	for j := 0; j < e.g; j++ {
+	for j := 0; j < e.g; {
+		if lanes, arena := r.laneBlock(j); lanes != nil {
+			var seeds [alead.Lanes]int64
+			for l := range seeds {
+				seeds[l] = GroupSeed(trialSeed, j+l)
+			}
+			block, err := lanes.Run(arena, seeds)
+			if err != nil {
+				return sim.Result{}, fmt.Errorf("committee: groups %d-%d: %w", j+1, j+alead.Lanes, err)
+			}
+			for l := range block {
+				if r.fold(&agg, j+l, &block[l]) {
+					return agg, nil
+				}
+			}
+			j += alead.Lanes
+			continue
+		}
 		size := e.sizes[j]
 		arena, vec := r.arenaSmall, r.small
 		if size > e.n/e.g {
@@ -323,18 +371,10 @@ func (r *Runner) Run(trialSeed int64) (sim.Result, error) {
 		if err != nil {
 			return sim.Result{}, fmt.Errorf("committee: group %d: %w", j+1, err)
 		}
-		agg.Delivered += res.Delivered
-		agg.Dropped += res.Dropped
-		agg.Steps += res.Steps
-		if res.Failed {
-			agg.Failed, agg.Reason = true, res.Reason
+		if r.fold(&agg, j, &res) {
 			return agg, nil
 		}
-		if res.Output < 1 || res.Output > int64(size) {
-			agg.Failed, agg.Reason = true, sim.FailMismatch
-			return agg, nil
-		}
-		r.winners[j] = int64(e.starts[j]) + res.Output
+		j++
 	}
 	l2 := r.l2
 	if r.target != 0 {
@@ -362,4 +402,43 @@ func (r *Runner) Run(trialSeed int64) (sim.Result, error) {
 	agg.Output = r.winners[e.GroupOf(res.Output+1)]
 	agg.Delivered += e.g + e.n
 	return agg, nil
+}
+
+// laneBlock returns the lane runner and arena for the block of alead.Lanes
+// groups starting at group j, or a nil runner when groups j..j+Lanes−1 are
+// not all honest groups of one size.
+func (r *Runner) laneBlock(j int) (*alead.LaneRunner, *sim.Arena) {
+	e := r.e
+	// The n mod g groups of size base+1 come first, so a size's groups form
+	// one run: [0, rem) for the big size, [rem, g) for the small one.
+	rem := e.n % e.g
+	lanes, arena, end := r.lanesSmall, r.arenaSmall, e.g
+	if j < rem {
+		lanes, arena, end = r.lanesBig, r.arenaBig, rem
+	}
+	if lanes == nil || j+alead.Lanes > end {
+		return nil, nil
+	}
+	if r.target != 0 && r.atkGroup >= j && r.atkGroup < j+alead.Lanes {
+		return nil, nil
+	}
+	return lanes, arena
+}
+
+// fold adds group j's result to the trial aggregate and records its winner.
+// It reports whether the trial has failed at group j.
+func (r *Runner) fold(agg *sim.Result, j int, res *sim.Result) bool {
+	agg.Delivered += res.Delivered
+	agg.Dropped += res.Dropped
+	agg.Steps += res.Steps
+	if res.Failed {
+		agg.Failed, agg.Reason = true, res.Reason
+		return true
+	}
+	if res.Output < 1 || res.Output > int64(r.e.sizes[j]) {
+		agg.Failed, agg.Reason = true, sim.FailMismatch
+		return true
+	}
+	r.winners[j] = int64(r.e.starts[j]) + res.Output
+	return false
 }

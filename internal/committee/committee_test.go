@@ -2,8 +2,12 @@ package committee
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
+	"repro/internal/attacks"
+	"repro/internal/protocols/alead"
+	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -187,32 +191,175 @@ func TestAttackStallsALead(t *testing.T) {
 // TestRunnerDeterminism pins the reproducibility contract: the same trial
 // seed yields identical results on a fresh runner and on a recycled one, so
 // committee batches shard over the fleet exactly like flat batches.
+// n = 50 (7 groups) runs every group alone; n = 400 (20 groups) runs one
+// lane block plus four leftover groups.
 func TestRunnerDeterminism(t *testing.T) {
-	e, err := New(50, InnerALead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeds := []int64{1, 42, -9, 20180516}
-	first := make([]sim.Result, len(seeds))
-	r := e.Runner()
-	for i, s := range seeds {
-		if first[i], err = r.Run(s); err != nil {
+	for _, n := range []int{50, 400} {
+		e, err := New(n, InnerALead)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Replay on the same (recycled) runner, then on a fresh one.
-	for name, rr := range map[string]*Runner{"recycled": r, "fresh": e.Runner()} {
+		seeds := []int64{1, 42, -9, 20180516}
+		first := make([]sim.Result, len(seeds))
+		r := e.Runner()
 		for i, s := range seeds {
-			res, err := rr.Run(s)
+			if first[i], err = r.Run(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Replay on the same (recycled) runner, then on a fresh one.
+		for name, rr := range map[string]*Runner{"recycled": r, "fresh": e.Runner()} {
+			for i, s := range seeds {
+				res, err := rr.Run(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := first[i]
+				if res.Failed != want.Failed || res.Reason != want.Reason ||
+					res.Output != want.Output || res.Delivered != want.Delivered ||
+					res.Dropped != want.Dropped || res.Steps != want.Steps {
+					t.Fatalf("n=%d: %s runner diverged at seed %d: %+v vs %+v", n, name, s, res, want)
+				}
+			}
+		}
+	}
+}
+
+// scalarTrial is the reference composition: every group runs alone through
+// ring.RunArena, the attacked group under the BasicSingle deviation, then
+// the delegate ring. It returns the composed result and the winners of the
+// groups folded before the trial ended.
+func scalarTrial(t *testing.T, e *Election, trialSeed, target int64) (sim.Result, []int64) {
+	t.Helper()
+	arena := sim.NewArena()
+	atkGroup := -1
+	if target != 0 {
+		atkGroup = e.GroupOf(target)
+	}
+	var agg sim.Result
+	var winners []int64
+	add := func(res sim.Result) {
+		agg.Delivered += res.Delivered
+		agg.Dropped += res.Dropped
+		agg.Steps += res.Steps
+	}
+	for j, size := range e.sizes {
+		spec := ring.Spec{N: size, Protocol: e.proto, Seed: GroupSeed(trialSeed, j)}
+		if j == atkGroup {
+			dev, err := attacks.BasicSingle{Position: 1}.Plan(size, target-int64(e.starts[j]), spec.Seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := first[i]
-			if res.Failed != want.Failed || res.Reason != want.Reason ||
-				res.Output != want.Output || res.Delivered != want.Delivered ||
-				res.Dropped != want.Dropped || res.Steps != want.Steps {
-				t.Fatalf("%s runner diverged at seed %d: %+v vs %+v", name, s, res, want)
+			spec.Deviation = dev
+		}
+		res, err := ring.RunArena(spec, arena)
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(res)
+		if res.Failed {
+			agg.Failed, agg.Reason = true, res.Reason
+			return agg, winners
+		}
+		if res.Output < 1 || res.Output > int64(size) {
+			agg.Failed, agg.Reason = true, sim.FailMismatch
+			return agg, winners
+		}
+		winners = append(winners, int64(e.starts[j])+res.Output)
+	}
+	l2 := e.level2Strategies()
+	if target != 0 {
+		l2[atkGroup] = &sumRush{ring: e.g, valRange: e.n, target: target - 1}
+	}
+	res, err := sim.NewArena().Run(sim.Config{Strategies: l2, Edges: sim.RingEdges(e.g), Seed: Level2Seed(trialSeed)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	add(res)
+	switch {
+	case res.Failed:
+		agg.Failed, agg.Reason = true, res.Reason
+	case res.Output < 0 || res.Output >= int64(e.n):
+		agg.Failed, agg.Reason = true, sim.FailMismatch
+	default:
+		agg.Output = winners[e.GroupOf(res.Output+1)]
+		agg.Delivered += e.g + e.n
+	}
+	return agg, winners
+}
+
+// TestRunnerMatchesScalarComposition is the committee's differential test
+// for lane blocks: a runner's trials must equal the scalar composition of
+// per-group ring.RunArena runs, counters, failure and winners included. The
+// sizes give one whole block (256), a block beside a leftover group of the
+// other size (290), a block plus leftovers (400) and six blocks plus
+// leftovers (10⁴). Attacked targets sit in a group a block would otherwise
+// cover and in a leftover group.
+func TestRunnerMatchesScalarComposition(t *testing.T) {
+	for _, inner := range []string{InnerBasic, InnerALead} {
+		for _, n := range []int{256, 290, 400, 10000} {
+			e, err := New(n, inner)
+			if err != nil {
+				t.Fatal(err)
 			}
+			// The first position of a middle group (inside a block's span)
+			// and of the last group (a leftover at n = 400 and 10⁴).
+			targets := []int64{0, int64(e.starts[e.g/2+1]) + 1, int64(e.starts[e.g-1]) + 1}
+			trials := 3
+			if n == 10000 {
+				trials = 1
+			}
+			for _, target := range targets {
+				t.Run(fmt.Sprintf("%s/n=%d/target=%d", inner, n, target), func(t *testing.T) {
+					r := e.Runner()
+					if target != 0 {
+						if r, err = e.AttackRunner(target); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for trial := 0; trial < trials; trial++ {
+						seed := int64(sim.Mix64(uint64(n), uint64(trial)))
+						got, err := r.Run(seed)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, winners := scalarTrial(t, e, seed, target)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("trial %d: runner %+v, scalar %+v", trial, got, want)
+						}
+						if w := r.Winners()[:len(winners)]; !reflect.DeepEqual(w, winners) {
+							t.Fatalf("trial %d: winners %v, scalar %v", trial, w, winners)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestWarmRunnerAllocBudget pins the honest runner's steady state at zero
+// allocations per trial, at sizes whose groups run as whole lane blocks: a
+// lane path that allocated per group or per block would fail here.
+func TestWarmRunnerAllocBudget(t *testing.T) {
+	for _, n := range []int{256, 10000} {
+		e, err := New(n, InnerALead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Groups() < alead.Lanes {
+			t.Fatalf("n=%d has no whole lane block", n)
+		}
+		r := e.Runner()
+		seed := int64(0)
+		trial := func() {
+			seed++
+			if res, err := r.Run(seed); err != nil || res.Failed {
+				t.Fatalf("n=%d trial %d: failed=%v err=%v", n, seed, res.Failed, err)
+			}
+		}
+		trial() // warm the arenas: the first trial builds the networks
+		if got := testing.AllocsPerRun(10, trial); got > 0 {
+			t.Errorf("n=%d: warm runner allocates %.1f allocs per trial, budget 0", n, got)
 		}
 	}
 }

@@ -262,41 +262,14 @@ func (rt *runtime) result() sim.Result {
 		Outputs:  make([]int64, rt.n+1),
 		Statuses: make([]sim.Status, rt.n+1),
 	}
-	first := true
-	var common int64
-	agree := true
-	anyAbort, anyRunning := false, false
 	for i := 1; i <= rt.n; i++ {
 		p := &rt.procs[i]
 		p.mu.Lock()
-		status, output := p.status, p.output
+		res.Statuses[i], res.Outputs[i] = p.status, p.output
 		res.Delivered += int(p.received)
 		p.mu.Unlock()
-		res.Statuses[i] = status
-		res.Outputs[i] = output
-		switch status {
-		case sim.StatusAborted:
-			anyAbort = true
-		case sim.StatusRunning:
-			anyRunning = true
-		case sim.StatusTerminated:
-			if first {
-				common, first = output, false
-			} else if output != common {
-				agree = false
-			}
-		}
 	}
-	switch {
-	case anyAbort:
-		res.Failed, res.Reason = true, sim.FailAbort
-	case anyRunning:
-		res.Failed, res.Reason = true, sim.FailStall
-	case !agree:
-		res.Failed, res.Reason = true, sim.FailMismatch
-	default:
-		res.Output = common
-	}
+	res.Classify(false)
 	res.Steps = res.Delivered
 	return res
 }

@@ -150,8 +150,11 @@ func watchStream[P any](ctx context.Context, c *Client, path, id string, fn func
 		return last, err
 	}
 	defer drainClose(resp.Body)
+	// Lines start at bufio's default buffer, which grows to the longest
+	// line seen: most states are well under a KiB, while a large outcome's
+	// state can run to hundreds of KiB.
 	scan := bufio.NewScanner(resp.Body)
-	scan.Buffer(make([]byte, 0, 64*1024), 16<<20)
+	scan.Buffer(nil, 16<<20)
 	seen := false
 	for scan.Scan() {
 		var st wireState[P]

@@ -239,6 +239,43 @@ func TestWatchStreamsProgress(t *testing.T) {
 	}
 }
 
+// TestWatchDecodesLongLines follows a job whose terminal state is one NDJSON
+// line of more than 64 KiB — the outcome of a committee election at
+// n = 40,000 — so the watch scanner must grow its buffer well past bufio's
+// default to decode it.
+func TestWatchDecodesLongLines(t *testing.T) {
+	_, client := newTestServer(t, Config{})
+	ctx := context.Background()
+
+	job := JobRequest{Scenario: "committee/a-lead/fifo", N: 40000, Trials: 2, Seed: 3}
+	states, err := client.Submit(ctx, []JobRequest{job})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	final, err := client.Wait(ctx, states[0].ID)
+	if err != nil {
+		t.Fatalf("watch: %v", err)
+	}
+	if final.Status != StatusDone {
+		t.Fatalf("watched job finished %s: %s", final.Status, final.Error)
+	}
+	line, err := json.Marshal(final)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(line) <= 64<<10 {
+		t.Fatalf("terminal state is %d bytes, want a line longer than 64 KiB", len(line))
+	}
+	polled, err := client.Job(ctx, states[0].ID)
+	if err != nil {
+		t.Fatalf("get: %v", err)
+	}
+	if !bytes.Equal(final.Result, polled.Result) {
+		t.Fatalf("watched result (%d bytes) differs from the polled one (%d bytes)",
+			len(final.Result), len(polled.Result))
+	}
+}
+
 func TestScenariosEndpointMatchesRegistry(t *testing.T) {
 	_, client := newTestServer(t, Config{})
 	descs, err := client.Scenarios(context.Background())

@@ -224,7 +224,7 @@ func (d *denseNet) sweep(strategies []Strategy) {
 	}
 }
 
-// result classifies the final state exactly as Network.result does.
+// result classifies the final state with the Network's classification.
 func (d *denseNet) result() Result {
 	res := Result{
 		Outputs:   d.outputs,
@@ -233,38 +233,6 @@ func (d *denseNet) result() Result {
 		Dropped:   d.dropped,
 		Steps:     d.steps,
 	}
-	if d.steps >= d.stepLimit && d.pending > 0 && d.terminated < d.n {
-		res.Failed = true
-		res.Reason = FailStepLimit
-		return res
-	}
-	first := true
-	var common int64
-	agree := true
-	anyAbort, anyRunning := false, false
-	for i := 1; i <= d.n; i++ {
-		switch d.statuses[i] {
-		case StatusAborted:
-			anyAbort = true
-		case StatusRunning:
-			anyRunning = true
-		case StatusTerminated:
-			if first {
-				common, first = d.outputs[i], false
-			} else if d.outputs[i] != common {
-				agree = false
-			}
-		}
-	}
-	switch {
-	case anyAbort:
-		res.Failed, res.Reason = true, FailAbort
-	case anyRunning:
-		res.Failed, res.Reason = true, FailStall
-	case !agree:
-		res.Failed, res.Reason = true, FailMismatch
-	default:
-		res.Output = common
-	}
+	res.Classify(d.steps >= d.stepLimit && d.pending > 0 && d.terminated < d.n)
 	return res
 }

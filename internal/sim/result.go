@@ -73,6 +73,52 @@ func (r Result) Clone() Result {
 	return c
 }
 
+// Classify sets r's outcome — Failed, Reason and Output — from its
+// per-processor Statuses and Outputs (index 0 unused), per the outcome
+// definition of Section 2: any aborted processor makes the outcome FAIL
+// (FailAbort), then any processor still running (FailStall), then two
+// terminated processors with different outputs (FailMismatch); otherwise
+// Output is the common output. stepLimited marks an execution stopped by
+// its delivery budget with messages pending and processors running: it is
+// FailStepLimit whatever the statuses say. It is the single copy of the FAIL
+// taxonomy, shared by the Network and by runtimes that assemble a Result
+// from their own per-processor state.
+func (r *Result) Classify(stepLimited bool) {
+	r.Failed, r.Reason, r.Output = false, FailNone, 0
+	if stepLimited {
+		r.Failed, r.Reason = true, FailStepLimit
+		return
+	}
+	first := true
+	var common int64
+	agree := true
+	anyAbort, anyRunning := false, false
+	for i := 1; i < len(r.Statuses); i++ {
+		switch r.Statuses[i] {
+		case StatusAborted:
+			anyAbort = true
+		case StatusRunning:
+			anyRunning = true
+		case StatusTerminated:
+			if out := r.Outputs[i]; first {
+				common, first = out, false
+			} else if out != common {
+				agree = false
+			}
+		}
+	}
+	switch {
+	case anyAbort:
+		r.Failed, r.Reason = true, FailAbort
+	case anyRunning:
+		r.Failed, r.Reason = true, FailStall
+	case !agree:
+		r.Failed, r.Reason = true, FailMismatch
+	default:
+		r.Output = common
+	}
+}
+
 func (net *Network) result() Result {
 	// The per-processor slices live on the network so that a Reset/Run
 	// cycle recycles them; they are fully overwritten below. Both caps are
@@ -92,44 +138,10 @@ func (net *Network) result() Result {
 		Dropped:   net.dropped,
 		Steps:     net.steps,
 	}
-	if net.steps >= net.stepLimit && net.pendingCount() > 0 && net.terminated < net.n {
-		res.Failed = true
-		res.Reason = FailStepLimit
-	}
-	first := true
-	var common int64
-	agree := true
-	anyAbort, anyRunning := false, false
 	for i := 1; i <= net.n; i++ {
-		out := net.procs[i].output
-		st := Status(net.hot[i].status)
-		res.Statuses[i] = st
-		res.Outputs[i] = out
-		switch st {
-		case StatusAborted:
-			anyAbort = true
-		case StatusRunning:
-			anyRunning = true
-		case StatusTerminated:
-			if first {
-				common, first = out, false
-			} else if out != common {
-				agree = false
-			}
-		}
+		res.Statuses[i] = Status(net.hot[i].status)
+		res.Outputs[i] = net.procs[i].output
 	}
-	if res.Failed {
-		return res
-	}
-	switch {
-	case anyAbort:
-		res.Failed, res.Reason = true, FailAbort
-	case anyRunning:
-		res.Failed, res.Reason = true, FailStall
-	case !agree:
-		res.Failed, res.Reason = true, FailMismatch
-	default:
-		res.Output = common
-	}
+	res.Classify(net.steps >= net.stepLimit && net.pendingCount() > 0 && net.terminated < net.n)
 	return res
 }
