@@ -57,6 +57,10 @@ perfbench-check:
 
 check: build docs-check inline-check perfbench-check test race
 
+# The smoke targets below, and profile, are phases of one end-to-end
+# harness, internal/tools/smoke: each builds the real binaries and runs one
+# phase against them. `go test ./internal/tools/smoke/` runs all five.
+
 # service-smoke is the daemon's end-to-end acceptance run: build the real
 # fleserve binary, boot it on an ephemeral port, drive a 100-job concurrent
 # batch (20 distinct scenarios × 5 copies), and verify completion, a cache
@@ -64,7 +68,7 @@ check: build docs-check inline-check perfbench-check test race
 # in-process scenario runs. CI runs this on every push.
 service-smoke:
 	$(GO) build -o bin/fleserve ./cmd/fleserve
-	$(GO) run ./internal/tools/servicesmoke -bin bin/fleserve
+	$(GO) run ./internal/tools/smoke -phase service -bin bin/fleserve
 
 # certify-smoke is the certification layer's end-to-end acceptance run:
 # boot the real fleserve binary, drive a 10-scenario POST /certify batch,
@@ -72,17 +76,18 @@ service-smoke:
 # byte-identical certificate cache replays. CI runs this on every push.
 certify-smoke:
 	$(GO) build -o bin/fleserve ./cmd/fleserve
-	$(GO) run ./internal/tools/certsmoke -bin bin/fleserve
+	$(GO) run ./internal/tools/smoke -phase certify -bin bin/fleserve
 
 # fleet-smoke is the multi-node acceptance run: boot a real coordinator
 # plus two real workers sharing one disk cache directory, kill a worker
-# mid-job, and verify byte identity with a direct single-node run, a clean
-# fleload mixed batch, and a coordinator restart that replays everything
-# from disk with zero engine runs. CI runs this on every push.
+# while it holds a chunk lease, and verify that the lease is re-issued,
+# byte identity with a direct single-node run, a clean fleload mixed batch,
+# and a coordinator restart that replays everything from disk with zero
+# engine runs. CI runs this on every push.
 fleet-smoke:
 	$(GO) build -o bin/fleserve ./cmd/fleserve
 	$(GO) build -o bin/fleload ./cmd/fleload
-	$(GO) run ./internal/tools/fleetsmoke -bin bin/fleserve -load bin/fleload
+	$(GO) run ./internal/tools/smoke -phase fleet -bin bin/fleserve -load bin/fleload
 
 # dsl-smoke is the MAR spec pipeline's end-to-end acceptance run: generate
 # a protocol and an adversary spec from a fixed seed, boot the real
@@ -91,7 +96,7 @@ fleet-smoke:
 # certifies the generated adversary. CI runs this on every push.
 dsl-smoke:
 	$(GO) build -o bin/fleserve ./cmd/fleserve
-	$(GO) run ./internal/tools/dslsmoke -bin bin/fleserve
+	$(GO) run ./internal/tools/smoke -phase dsl -bin bin/fleserve
 
 # certify-golden regenerates the committed full-catalog certification
 # table. The sweep is deterministic (fixed seed, worker-independent
@@ -123,4 +128,4 @@ bench-gate:
 # bench/e5.cpu.pprof (inspect with `go tool pprof bench/e5.cpu.pprof`).
 profile:
 	$(GO) build -o bin/fleserve ./cmd/fleserve
-	$(GO) run ./internal/tools/profcapture -bin bin/fleserve -out bench/e5.cpu.pprof
+	$(GO) run ./internal/tools/smoke -phase profile -bin bin/fleserve -out bench/e5.cpu.pprof

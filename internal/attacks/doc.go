@@ -25,9 +25,8 @@
 // All attacks are deterministic deviations (WLOG per Appendix D): given the
 // honest processors' randomness, the execution is fully determined. That
 // includes the PhaseRushing steering search. It is a sequential scan inside
-// the adversary's own strategy call, no longer a first-hit search on
-// internal/engine.Search: it walks assignments in blocks that share all but
-// the lowest digit, so each try costs one coordinate mix, and it still
-// commits to the minimal satisfying coordinate assignment, so attack
+// the adversary's own strategy call: it walks assignments in blocks that
+// share all but the lowest digit, so each try costs one coordinate mix, and
+// it commits to the minimal satisfying coordinate assignment, so attack
 // executions stay reproducible under parallel trials.
 package attacks

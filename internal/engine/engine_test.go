@@ -198,35 +198,3 @@ func TestAdaptiveStopRunsToCompletionWhenRuleNeverFires(t *testing.T) {
 		t.Error("non-firing adaptive run differs from sequential baseline")
 	}
 }
-
-func TestSearchFindsMinimalIndex(t *testing.T) {
-	pred := func(t int) bool { return t == 113 || t == 640 || t == 641 }
-	for _, workers := range []int{0, 1, 3, 8} {
-		got, ok := Search(1000, pred, workers)
-		if !ok || got != 113 {
-			t.Errorf("workers=%d: Search = (%d, %v), want (113, true)", workers, got, ok)
-		}
-	}
-}
-
-func TestSearchHitInFirstAndLastSlot(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		if got, ok := Search(500, func(t int) bool { return t == 0 }, workers); !ok || got != 0 {
-			t.Errorf("workers=%d: first-slot hit = (%d, %v)", workers, got, ok)
-		}
-		if got, ok := Search(500, func(t int) bool { return t == 499 }, workers); !ok || got != 499 {
-			t.Errorf("workers=%d: last-slot hit = (%d, %v)", workers, got, ok)
-		}
-	}
-}
-
-func TestSearchNotFound(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		if _, ok := Search(2000, func(int) bool { return false }, workers); ok {
-			t.Errorf("workers=%d: found a hit in an all-false predicate", workers)
-		}
-	}
-	if _, ok := Search(0, func(int) bool { return true }, 1); ok {
-		t.Error("empty range produced a hit")
-	}
-}

@@ -20,7 +20,7 @@ import (
 )
 
 // Chunked-job builders. Each returns the scenario's canonical chunked
-// engine job — the one unit both local runs (chunkedRun → engineBatch) and
+// engine job — the one unit both local runs (Scenario.batch → engineBatch) and
 // remote shard claims (RunShard → engine.RunRange) execute — and, for ring
 // topologies, the single-execution hook used by the schedule-independence
 // property tests.
@@ -251,17 +251,16 @@ func syncRingChunks(tamper bool) chunksFunc {
 	}
 }
 
-// registerChunked registers one scenario from its chunked-job builder; the
-// full-batch run function is derived from the same builder, so local runs
-// and remote shards execute one job.
+// registerChunked registers one scenario from its chunked-job builder,
+// which local runs and remote shards alike execute.
 func registerChunked(s Scenario, chunks chunksFunc) {
-	s.chunks, s.run = chunks, chunkedRun(chunks)
+	s.chunks = chunks
 	register(s)
 }
 
 // registerRing registers one ring scenario from its builder pair.
 func registerRing(s Scenario, chunks chunksFunc, single singleFunc) {
-	s.chunks, s.run, s.single = chunks, chunkedRun(chunks), single
+	s.chunks, s.single = chunks, single
 	register(s)
 }
 

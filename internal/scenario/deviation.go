@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/attacks"
-	"repro/internal/engine"
 	"repro/internal/protocols/phaselead"
 	"repro/internal/ring"
 )
@@ -23,7 +22,7 @@ const (
 	// FamilySelf is the fallback family of attack scenarios whose
 	// adversary lives outside the ring simulator (the Shamir share pool,
 	// the dictating tree root, the synchronous tamperer): the sweep
-	// re-runs the scenario's own run function across coalition sizes and
+	// re-runs the scenario's own batch across coalition sizes and
 	// targets instead of planning ring deviations.
 	FamilySelf = "self"
 )
@@ -317,8 +316,8 @@ func (s Scenario) DeviationSpace(o Opts, maxK int, targets []int64) []DeviationC
 			}
 		}
 	case s.Attack != "":
-		// Non-ring adversary: sweep the scenario's own run function. The
-		// run may ignore the target, so out-of-range targets are filtered
+		// Non-ring adversary: sweep the scenario's own batch. The batch
+		// may ignore the target, so out-of-range targets are filtered
 		// here — the family branches get the same check from planning.
 		for _, t := range targets {
 			if t < 1 || t > int64(n) {
@@ -404,16 +403,15 @@ func (s Scenario) feasibleDeviation(cand DeviationCandidate, n int) bool {
 // RunDeviation runs one deviation candidate's trial batch against the
 // scenario's configuration: the identity candidate reproduces the honest
 // run (the scenario itself for honest entries, the underlying protocol for
-// ring attack entries), a family candidate routes through
-// ring.RunAttackTrials exactly as the registered attack scenarios do —
-// same seed derivation, same engine — so a sweep restricted to a scenario's
-// own candidate is byte-identical to the scenario's run, and a self
-// candidate re-runs the scenario's own run function at the candidate's
-// coalition size and target.
+// ring attack entries), a family candidate runs ring.AttackChunkJob exactly
+// as the registered attack scenarios do — same seed derivation, same
+// engine — so a sweep restricted to a scenario's own candidate is
+// byte-identical to the scenario's run, and a self candidate re-runs the
+// scenario's own batch at the candidate's coalition size and target.
 func (s Scenario) RunDeviation(ctx context.Context, seed int64, cand DeviationCandidate, o Opts) (*ring.Distribution, error) {
-	p := s.params(o)
-	if p.N < s.MinN {
-		return nil, fmt.Errorf("scenario: %s needs n ≥ %d, got %d", s.Name, s.MinN, p.N)
+	p, err := s.runParams(o)
+	if err != nil {
+		return nil, err
 	}
 	if p.Trials < 1 {
 		return nil, fmt.Errorf("scenario: %s needs ≥ 1 trial, got %d", s.Name, p.Trials)
@@ -421,25 +419,24 @@ func (s Scenario) RunDeviation(ctx context.Context, seed int64, cand DeviationCa
 	switch cand.Family {
 	case "", FamilyIdentity:
 		if s.Attack == "" {
-			return s.run(ctx, seed, p)
+			return s.batch(ctx, seed, p)
 		}
 		if s.proto == nil {
 			return nil, fmt.Errorf("scenario: %s has no honest baseline run", s.Name)
 		}
-		return ring.TrialsOpts(ctx, ring.Spec{N: p.N, Protocol: s.proto, Seed: seed}, p.Trials, p.trialOptions())
+		return engineBatch(ctx, p, ring.HonestChunkJob(ring.Spec{N: p.N, Protocol: s.proto, Seed: seed}, nil))
 	case FamilySelf:
 		if s.Attack == "" {
 			return nil, fmt.Errorf("scenario: %s is honest; the self family needs an attack run", s.Name)
 		}
 		p.K, p.Target = cand.K, cand.Target
-		return s.run(ctx, seed, p)
+		return s.batch(ctx, seed, p)
 	default:
 		proto, atk, err := s.deviationAttack(cand, p.N)
 		if err != nil {
 			return nil, err
 		}
-		spec := ring.AttackSpec{N: p.N, Protocol: proto, Attack: atk, Target: cand.Target, Seed: seed}
-		return ring.RunAttackTrials(ctx, spec, p.Trials, p.trialOptions())
+		return engineBatch(ctx, p, ring.AttackChunkJob(p.N, proto, atk, cand.Target, seed))
 	}
 }
 
@@ -473,19 +470,10 @@ func dedupSizes(sizes []int) []int {
 	return out
 }
 
-// feasibleRange collects the sizes in [lo, hi] accepted by ok, locating the
-// smallest with the engine's deterministic first-hit scan (the same
-// machinery behind the PhaseRushing steering search) and walking the rest.
+// feasibleRange collects the sizes in [lo, hi] accepted by ok, ascending.
 func feasibleRange(lo, hi int, ok func(k int) bool) []int {
-	if hi < lo {
-		return nil
-	}
-	first, found := engine.Search(hi-lo+1, func(i int) bool { return ok(lo + i) }, 0)
-	if !found {
-		return nil
-	}
 	var out []int
-	for k := lo + first; k <= hi; k++ {
+	for k := lo; k <= hi; k++ {
 		if ok(k) {
 			out = append(out, k)
 		}

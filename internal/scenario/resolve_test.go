@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/ring"
 )
 
@@ -124,14 +125,14 @@ func TestOutcomeFromDistEmpty(t *testing.T) {
 }
 
 func TestTryRegisterValidation(t *testing.T) {
-	stub := func(context.Context, int64, params) (*ring.Distribution, error) { return nil, nil }
+	stub := func(int64, params) (engine.ChunkJob, error) { return nil, nil }
 	cases := map[string]Scenario{
-		"unnamed":         {Topology: "ring", Protocol: "p", Scheduler: SchedFIFO, N: 4, Trials: 1, run: stub},
-		"missing fields":  {Name: "x/a", N: 4, Trials: 1, run: stub},
-		"bad n":           {Name: "x/b", Topology: "ring", Protocol: "p", Scheduler: SchedFIFO, N: 1, Trials: 1, run: stub},
-		"bad trials":      {Name: "x/c", Topology: "ring", Protocol: "p", Scheduler: SchedFIFO, N: 4, Trials: 0, run: stub},
-		"no run function": {Name: "x/d", Topology: "ring", Protocol: "p", Scheduler: SchedFIFO, N: 4, Trials: 1},
-		"duplicate":       {Name: "ring/basic-lead/fifo", Topology: "ring", Protocol: "p", Scheduler: SchedFIFO, N: 4, Trials: 1, run: stub},
+		"unnamed":          {Topology: "ring", Protocol: "p", Scheduler: SchedFIFO, N: 4, Trials: 1, chunks: stub},
+		"missing fields":   {Name: "x/a", N: 4, Trials: 1, chunks: stub},
+		"bad n":            {Name: "x/b", Topology: "ring", Protocol: "p", Scheduler: SchedFIFO, N: 1, Trials: 1, chunks: stub},
+		"bad trials":       {Name: "x/c", Topology: "ring", Protocol: "p", Scheduler: SchedFIFO, N: 4, Trials: 0, chunks: stub},
+		"no chunk builder": {Name: "x/d", Topology: "ring", Protocol: "p", Scheduler: SchedFIFO, N: 4, Trials: 1},
+		"duplicate":        {Name: "ring/basic-lead/fifo", Topology: "ring", Protocol: "p", Scheduler: SchedFIFO, N: 4, Trials: 1, chunks: stub},
 	}
 	for name, s := range cases {
 		if err := tryRegister(s); err == nil {

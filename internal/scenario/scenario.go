@@ -94,8 +94,6 @@ type params struct {
 }
 
 type (
-	// runFunc runs the scenario's trial batch on the engine.
-	runFunc func(ctx context.Context, seed int64, p params) (*ring.Distribution, error)
 	// chunksFunc builds the scenario's canonical chunked engine job for one
 	// (seed, params) configuration. The job must derive every per-trial
 	// result from the trial index alone, so any sub-range run through
@@ -107,20 +105,6 @@ type (
 	// (the schedule-independence property is a ring claim).
 	singleFunc func(seed int64, sched sim.Scheduler, p params, arena *sim.Arena) (sim.Result, error)
 )
-
-// chunkedRun derives a scenario's full-batch run function from its chunked
-// job builder: every registered scenario runs through this one path, so the
-// batch a coordinator decomposes into remote shards and the batch a single
-// node runs locally are the same job by construction.
-func chunkedRun(chunks chunksFunc) runFunc {
-	return func(ctx context.Context, seed int64, p params) (*ring.Distribution, error) {
-		job, err := chunks(seed, p)
-		if err != nil {
-			return nil, err
-		}
-		return engineBatch(ctx, p, job)
-	}
-}
 
 // Scenario is one named, runnable configuration.
 type Scenario struct {
@@ -154,7 +138,6 @@ type Scenario struct {
 	// Note is a one-line description for catalogs.
 	Note string
 
-	run    runFunc
 	chunks chunksFunc
 	single singleFunc
 
@@ -166,7 +149,7 @@ type Scenario struct {
 	// family and mode name the registered DeviationFamily (and its
 	// variant) behind an attack scenario's run; empty for honest
 	// scenarios and for non-ring attacks, which sweep through their own
-	// run function instead.
+	// batch instead.
 	family, mode string
 }
 
@@ -194,6 +177,20 @@ func (s Scenario) params(o Opts) params {
 		}
 	}
 	return p
+}
+
+// runParams resolves the caller's overrides for a run, rejecting a
+// scenario that is not runnable (the zero Scenario has no chunked job) and
+// sizes below MinN.
+func (s Scenario) runParams(o Opts) (params, error) {
+	if s.chunks == nil {
+		return params{}, fmt.Errorf("scenario: %q is not runnable", s.Name)
+	}
+	p := s.params(o)
+	if p.N < s.MinN {
+		return p, fmt.Errorf("scenario: %s needs n ≥ %d, got %d", s.Name, s.MinN, p.N)
+	}
+	return p, nil
 }
 
 // Outcome is the uniform result of one scenario run.
@@ -238,17 +235,14 @@ func (s Scenario) Run(ctx context.Context, seed int64) (*Outcome, error) {
 // trial engine; for a fixed seed the outcome is identical at any
 // opts.Workers.
 func (s Scenario) RunOpts(ctx context.Context, seed int64, o Opts) (*Outcome, error) {
-	if s.run == nil {
-		return nil, fmt.Errorf("scenario: %q is not runnable", s.Name)
-	}
-	p := s.params(o)
-	if p.N < s.MinN {
-		return nil, fmt.Errorf("scenario: %s needs n ≥ %d, got %d", s.Name, s.MinN, p.N)
+	p, err := s.runParams(o)
+	if err != nil {
+		return nil, err
 	}
 	if p.Trials < 1 {
 		return nil, fmt.Errorf("scenario: %s needs ≥ 1 trial, got %d", s.Name, p.Trials)
 	}
-	dist, err := s.run(ctx, seed, p)
+	dist, err := s.batch(ctx, seed, p)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %s: %w", s.Name, err)
 	}
@@ -271,12 +265,6 @@ func (s Scenario) SingleRun(seed int64, sched sim.Scheduler, o Opts) (res sim.Re
 	return res, true, err
 }
 
-// Distributable reports whether the scenario exposes its trial batch as a
-// chunked job, i.e. whether RunShard can run arbitrary sub-ranges of it.
-// Every registered scenario is distributable; the accessor exists so fleet
-// schedulers can gate rather than assume.
-func (s Scenario) Distributable() bool { return s.chunks != nil }
-
 // RunShard runs logical trials [start, end) of the batch RunOpts(seed, o)
 // would run and returns their raw shard distribution. Per-trial seeds
 // derive from the logical index, so merging the shards of any partition of
@@ -285,12 +273,9 @@ func (s Scenario) Distributable() bool { return s.chunks != nil }
 // This is the unit of work a fleet worker claims from a coordinator.
 // Progress and Stop overrides are ignored: shards are plain sub-batches.
 func (s Scenario) RunShard(ctx context.Context, seed int64, o Opts, start, end int) (*ring.Distribution, error) {
-	if s.chunks == nil {
-		return nil, fmt.Errorf("scenario: %q has no chunked job", s.Name)
-	}
-	p := s.params(o)
-	if p.N < s.MinN {
-		return nil, fmt.Errorf("scenario: %s needs n ≥ %d, got %d", s.Name, s.MinN, p.N)
+	p, err := s.runParams(o)
+	if err != nil {
+		return nil, err
 	}
 	if start < 0 || end < start || end > p.Trials {
 		return nil, fmt.Errorf("scenario: %s shard [%d, %d) outside batch of %d trials", s.Name, start, end, p.Trials)
@@ -365,25 +350,23 @@ func distSink(n int) engine.Sink[*ring.Distribution] {
 	}
 }
 
+// batch runs the scenario's chunked job for one resolved configuration on
+// the engine. Every batch takes this path, so the batch a single node runs
+// and the one a coordinator decomposes into remote shards (RunShard) are
+// the same job by construction.
+func (s Scenario) batch(ctx context.Context, seed int64, p params) (*ring.Distribution, error) {
+	job, err := s.chunks(seed, p)
+	if err != nil {
+		return nil, err
+	}
+	return engineBatch(ctx, p, job)
+}
+
 // engineBatch runs a chunked job on the parallel engine, lowering the
-// resolved params onto engine options; run builders whose trials can
-// amortize per-chunk state (a reused strategy vector, a prebuilt node set)
-// route through it.
+// resolved params onto engine options.
 func engineBatch(ctx context.Context, p params, job engine.ChunkJob) (*ring.Distribution, error) {
 	return engine.RunBatch(ctx, p.Trials, job, distSink(p.N),
 		engine.Options[*ring.Distribution]{Workers: p.Workers, Stop: p.stop, Observe: p.observe, Arenas: p.arenas})
-}
-
-// trialOptions lowers the resolved params onto ring.TrialOptions, for the
-// run builders that route through ring.RunAttackTrials instead of
-// engineTrials.
-func (p params) trialOptions() ring.TrialOptions {
-	opts := ring.TrialOptions{Workers: p.Workers, Progress: p.observe, Arenas: p.arenas}
-	if p.stop != nil {
-		stop := p.stop
-		opts.Stop = func(prefix *ring.Distribution) bool { return stop(prefix, prefix.Trials) }
-	}
-	return opts
 }
 
 // Snapshot is one deterministic progress point of a running trial batch:

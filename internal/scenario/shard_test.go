@@ -24,9 +24,6 @@ func TestRunShardPartitionMatchesRunOpts(t *testing.T) {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
-			if !s.Distributable() {
-				t.Fatalf("%s is not distributable", s.Name)
-			}
 			o := Opts{Trials: trials, Workers: 2}
 			want, err := s.RunOpts(ctx, 42, o)
 			if err != nil {

@@ -356,12 +356,12 @@ func (s *Scheduler) Cancel(id string) bool { return s.trials.cancel(id) }
 // content-addressed semantics as Cancel.
 func (s *Scheduler) CancelCert(id string) bool { return s.sweeps.cancel(id) }
 
-// trialWork picks a fresh trial job's work. A coordinator spreads a
-// distributable scenario over its chunk exchange, where the claimants run
-// the chunks, so the job itself holds no engine slot; everything else runs
-// whole on one slot.
-func (s *Scheduler) trialWork(sc scenario.Scenario) (work[JobRequest, scenario.Snapshot], bool) {
-	if s.fleet != nil && sc.Distributable() {
+// trialWork picks a fresh trial job's work. A coordinator spreads the
+// scenario (every registered one has a chunked job) over its chunk
+// exchange, where the claimants run the chunks, so the job itself holds no
+// engine slot; a single node runs the batch whole on one slot.
+func (s *Scheduler) trialWork(scenario.Scenario) (work[JobRequest, scenario.Snapshot], bool) {
+	if s.fleet != nil {
 		return s.runFleet, false
 	}
 	return s.run, true

@@ -87,7 +87,6 @@ func measure(n, trials, flatTrials, flatMax int, seed int64, workers int) (strin
 	_, hi := stats.WilsonInterval(maxCount, trials, 1.96)
 	biasUB := hi - 1.0/float64(n)
 	perTrial := elapsed.Seconds() * 1000 / float64(trials)
-	batch1k := time.Duration(float64(time.Millisecond) * perTrial * 1000)
 
 	flatMsgs, flatMS, projected, err := flatCost(n, flatTrials, flatMax, seed, workers)
 	if err != nil {
@@ -99,7 +98,14 @@ func measure(n, trials, flatTrials, flatMax int, seed int64, workers int) (strin
 	}
 	return fmt.Sprintf("| %d | %d | %d | %d%s | %.2f | %.0f%s | %.4f | %s |",
 		n, e.Groups(), e.MessagesPerTrial(), flatMsgs, proj,
-		perTrial, flatMS, proj, biasUB, batch1k.Round(100*time.Millisecond)), nil
+		perTrial, flatMS, proj, biasUB, batch1k(perTrial)), nil
+}
+
+// batch1k is the wall time of a 1,000-trial batch at perTrialMS
+// milliseconds per trial, to the millisecond: the small sizes' batches
+// take tens of milliseconds.
+func batch1k(perTrialMS float64) time.Duration {
+	return time.Duration(perTrialMS * 1000 * float64(time.Millisecond)).Round(time.Millisecond)
 }
 
 // composedBatch runs the committee election over disjoint trial stripes,
