@@ -71,9 +71,14 @@ func TestPhases(t *testing.T) {
 	}
 }
 
+// TestBadFlag checks that an unknown flag fails before any phase starts.
 func TestBadFlag(t *testing.T) {
-	if err := run([]string{"-no-such-flag"}); err == nil {
-		t.Fatal("want flag error")
+	for phase := range phases {
+		t.Run(phase, func(t *testing.T) {
+			if err := run([]string{"-phase", phase, "-no-such-flag"}); err == nil {
+				t.Fatal("want flag error")
+			}
+		})
 	}
 }
 
