@@ -13,12 +13,14 @@ test:
 	$(GO) test ./...
 
 # race runs the race detector over the concurrent layers, including
-# internal/conc, which runs one goroutine per processor. The equilibrium
+# internal/conc, which runs one goroutine per processor, and the A-LEADuni
+# lane runners (internal/protocols/alead, internal/committee), which every
+# engine worker keeps on its arena. The equilibrium
 # package runs with -short: its full-catalog and phase-lead tightness sweeps
 # take minutes under the detector and exercise no sweep concurrency the
 # short tests miss; the nightly full-tree race still runs them.
 race:
-	$(GO) test -race ./internal/engine/ ./internal/ring/ ./internal/cointoss/ ./internal/scenario/ ./internal/service/ ./internal/popproto/ ./internal/conc/
+	$(GO) test -race ./internal/engine/ ./internal/ring/ ./internal/cointoss/ ./internal/scenario/ ./internal/service/ ./internal/popproto/ ./internal/conc/ ./internal/protocols/alead/ ./internal/committee/
 	$(GO) test -race -short ./internal/equilibrium/
 
 # docs-check is the documentation floor: vet must be clean, every package

@@ -191,6 +191,12 @@ func BenchmarkCommittee10k(b *testing.B) {
 		b.Fatal(err)
 	}
 	r := e.Runner()
+	// One warm-up trial builds the runner's networks and pending rings, so
+	// the timed trials, and allocs/op, are a warm runner's at any
+	// -benchtime.
+	if _, err := r.Run(-1); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -214,6 +220,12 @@ func BenchmarkCommittee50k(b *testing.B) {
 		b.Fatal(err)
 	}
 	r := e.Runner()
+	// One warm-up trial builds the runner's networks and pending rings, so
+	// the timed trials, and allocs/op, are a warm runner's at any
+	// -benchtime.
+	if _, err := r.Run(-1); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -234,6 +246,30 @@ func BenchmarkBasicLeadHonest(b *testing.B) {
 
 func BenchmarkALeadHonest(b *testing.B) {
 	benchProtocol(b, alead.New(), []int{64, 256, 1024})
+}
+
+// BenchmarkALeadBatch is the engine-path rung of plain A-LEADuni batches:
+// each op is one ring.TrialsOpts batch of 64 honest trials on one worker,
+// in which every whole block of ring.Lanes trials of a chunk runs as one
+// lane execution. It reports ns per trial; BenchmarkALeadHonest, which
+// times scalar ring.Run trials, is its control.
+func BenchmarkALeadBatch(b *testing.B) {
+	const trials = 64
+	for _, n := range []int{64, 1024} {
+		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				d, err := ring.TrialsOpts(context.Background(), ring.Spec{N: n, Protocol: alead.New(), Seed: int64(i)},
+					trials, ring.TrialOptions{Workers: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if d.Failures() != 0 {
+					b.Fatalf("%d honest trials failed", d.Failures())
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*trials), "ns/trial")
+		})
+	}
 }
 
 func BenchmarkPhaseLeadHonest(b *testing.B) {

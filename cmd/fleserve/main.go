@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	fleserve [-addr HOST:PORT] [-workers W] [-parallel P] [-cache N] [-pprof]
+//	fleserve [-addr HOST:PORT] [-workers W] [-parallel P] [-cache-bytes B] [-pprof]
 //	         [-role single|coordinator|worker] [-join URL] [-cache-dir DIR]
 //	         [-fleet-chunk N] [-lease D] [-mar FILE]...
 //
@@ -23,9 +23,12 @@
 //	             shard results; its own job endpoints answer 421 pointing
 //	             at the coordinator
 //
-// With -cache-dir the result cache gains a crash-safe disk tier: results
-// survive restarts (a restarted daemon replays them with zero engine runs)
-// and nodes sharing the directory share the cache.
+// -cache-bytes bounds the in-memory result tier in bytes (0 = 2 MiB): each
+// finished job is charged its result's length plus about 1 KiB for its
+// record, and the least recently replayed results leave first. With
+// -cache-dir the result cache gains a crash-safe disk tier that keeps every
+// result: results survive restarts (a restarted daemon replays them with
+// zero engine runs) and nodes sharing the directory share the cache.
 //
 // Endpoints:
 //
@@ -82,7 +85,7 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 		addr     = fs.String("addr", "127.0.0.1:8080", "HTTP listen address (use :0 for an ephemeral port)")
 		workers  = fs.Int("workers", 0, "engine workers per job (0 = all CPUs); results are identical for any value")
 		parallel = fs.Int("parallel", 0, "concurrent engine runs (0 = 2); additional jobs queue")
-		cache    = fs.Int("cache", 0, "result cache capacity in entries (0 = 4096)")
+		cache    = fs.Int64("cache-bytes", 0, "in-memory result cache budget in bytes (0 = 2 MiB)")
 		profiled = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (CPU/heap profiling of the live daemon)")
 		role     = fs.String("role", "", "fleet role: single (default), coordinator, or worker")
 		join     = fs.String("join", "", "coordinator URL a worker claims chunks from (required with -role worker)")
@@ -104,7 +107,7 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 		Addr:       *addr,
 		Workers:    *workers,
 		Parallel:   *parallel,
-		CacheSize:  *cache,
+		CacheBytes: *cache,
 		Profiling:  *profiled,
 		Role:       *role,
 		Join:       *join,

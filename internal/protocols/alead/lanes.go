@@ -8,8 +8,21 @@ import (
 )
 
 // Lanes is the lane width of a LaneRunner: the number of independent honest
-// executions one simulated ring carries.
-const Lanes = 16
+// executions one simulated ring carries. It is ring's lane width, so the
+// runner serves ring.HonestChunkJob's lane blocks.
+const Lanes = ring.Lanes
+
+var _ ring.LaneProtocol = Protocol{}
+
+// NewLaneRunner implements ring.LaneProtocol with a LaneRunner for rings of
+// n processors.
+func (Protocol) NewLaneRunner(n int) (ring.LaneRunner, error) {
+	r, err := NewLaneRunner(n)
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
+}
 
 // LaneRunner runs Lanes independent honest A-LEADuni executions of one ring
 // size on a single simulated ring, paying the kernel's per-message cost once

@@ -193,14 +193,27 @@ type SchedulerFor func(t int, trialSeed int64, arena *sim.Arena) (sim.Scheduler,
 
 // HonestChunkJob returns the batched engine job running honest trials of the
 // spec: trial t runs with seed TrialSeed(spec.Seed, t) and the scheduler
-// chosen by schedFor (nil = spec.Scheduler throughout). When the protocol is
-// Batchable and the spec carries no Deviation, the strategy vector is built
-// and validated once per work-claim chunk and re-initialized in place for
-// every trial — the per-trial construction cost of a Job-based batch
-// disappears, with bit-identical outcomes. Other specs fall back to
-// per-trial RunArena inside the chunk.
+// chosen by schedFor (nil = spec.Scheduler throughout). When the protocol
+// has a lane form and the batch is plain FIFO (see lanesFor), every whole
+// block of Lanes consecutive trials of a chunk runs as one lane execution
+// and only the chunk's last (end−start) mod Lanes trials run scalar. When
+// the protocol is Batchable and the spec carries no Deviation, the scalar
+// strategy vector is built and validated once per work-claim chunk and
+// re-initialized in place for every trial — the per-trial construction cost
+// of a Job-based batch disappears, with bit-identical outcomes. Other specs
+// fall back to per-trial RunArena inside the chunk.
 func HonestChunkJob(spec Spec, schedFor SchedulerFor) engine.ChunkJob {
+	lanes := lanesFor(spec, schedFor)
 	return engine.ChunkFunc(func(start, end int, arena *sim.Arena, add func(sim.Result)) (int, error) {
+		if lanes != nil {
+			var err error
+			if start, err = runLanes(lanes, spec, start, end, arena, add); err != nil {
+				return start, err
+			}
+			if start == end {
+				return 0, nil
+			}
+		}
 		if !Batchable(spec.Protocol) || spec.Deviation != nil {
 			for t := start; t < end; t++ {
 				trialSpec := spec
@@ -292,7 +305,8 @@ func Trials(spec Spec, trials int) (*Distribution, error) {
 // in the batch is safe to shard because each trial runs on its worker's
 // private arena, whose recycled network reproduces a fresh one
 // bit-for-bit. The batch runs chunked (engine.RunBatch): Batchable
-// protocols reuse one strategy vector per chunk.
+// protocols reuse one strategy vector per chunk, and a plain batch of a
+// LaneProtocol runs its chunks in lane blocks (see HonestChunkJob).
 func TrialsOpts(ctx context.Context, spec Spec, trials int, opts TrialOptions) (*Distribution, error) {
 	if spec.Scheduler != nil || spec.Tracer != nil || spec.Deviation != nil {
 		opts.Workers = 1

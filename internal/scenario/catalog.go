@@ -27,16 +27,21 @@ import (
 
 // ringHonest runs an honest ring protocol, building a fresh scheduler per
 // trial so non-FIFO batches stay shard-safe. With SchedFIFO the batch is
-// bit-identical to ring.TrialsOpts (same seed derivation, same engine).
+// ring.TrialsOpts's own job (same seed derivation, same engine), so a lane
+// protocol runs its FIFO batches in lane blocks.
 func ringHonest(proto ring.Protocol, sched string) (chunksFunc, singleFunc) {
+	// Chunked batch: Batchable protocols reuse one strategy vector per
+	// work-claim chunk; the per-trial hook rebuilds only the scheduler
+	// (recycled on the worker's arena). FIFO's scheduler is nil, so it
+	// needs no hook.
+	var schedFor ring.SchedulerFor
+	if sched != SchedFIFO {
+		schedFor = func(t int, ts int64, arena *sim.Arena) (sim.Scheduler, error) {
+			return newScheduler(sched, ts, arena)
+		}
+	}
 	chunks := func(seed int64, p params) (engine.ChunkJob, error) {
-		// Chunked batch: Batchable protocols reuse one strategy vector per
-		// work-claim chunk; the per-trial hook rebuilds only the scheduler
-		// (recycled on the worker's arena).
-		return ring.HonestChunkJob(ring.Spec{N: p.N, Protocol: proto, Seed: seed},
-			func(t int, ts int64, arena *sim.Arena) (sim.Scheduler, error) {
-				return newScheduler(sched, ts, arena)
-			}), nil
+		return ring.HonestChunkJob(ring.Spec{N: p.N, Protocol: proto, Seed: seed}, schedFor), nil
 	}
 	single := func(seed int64, sc sim.Scheduler, p params, arena *sim.Arena) (sim.Result, error) {
 		return ring.RunArena(ring.Spec{N: p.N, Protocol: proto, Seed: seed, Scheduler: sc}, arena)

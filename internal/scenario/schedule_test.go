@@ -2,8 +2,11 @@ package scenario
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/protocols/alead"
+	"repro/internal/ring"
 	"repro/internal/sim"
 )
 
@@ -75,6 +78,57 @@ func TestNonRingScenariosHaveNoSingleRun(t *testing.T) {
 		_, ok, _ := s.SingleRun(1, nil, Opts{})
 		if ok != isRing {
 			t.Errorf("%s (topology %s): SingleRun ok=%v, want %v", s.Name, s.Topology, ok, isRing)
+		}
+	}
+}
+
+// laneSpy is A-LEADuni whose lane runners count their lane executions.
+type laneSpy struct {
+	alead.Protocol
+	runs *atomic.Int64
+}
+
+func (p laneSpy) NewLaneRunner(n int) (ring.LaneRunner, error) {
+	r, err := p.Protocol.NewLaneRunner(n)
+	if err != nil {
+		return nil, err
+	}
+	return laneSpyRunner{r, p.runs}, nil
+}
+
+type laneSpyRunner struct {
+	ring.LaneRunner
+	runs *atomic.Int64
+}
+
+func (r laneSpyRunner) Run(arena *sim.Arena, seeds [ring.Lanes]int64) ([]sim.Result, error) {
+	r.runs.Add(1)
+	return r.LaneRunner.Run(arena, seeds)
+}
+
+// TestRingHonestLanesOnlyFIFO pins which honest ring batches run lane
+// executions: a FIFO scenario's chunks of a lane protocol do, one per whole
+// block of ring.Lanes trials, and LIFO and random scenarios never do, even
+// though a ring's outcomes do not depend on the schedule.
+func TestRingHonestLanesOnlyFIFO(t *testing.T) {
+	const trials = 2*ring.Lanes + 3
+	for _, c := range []struct {
+		sched string
+		runs  int64
+	}{{SchedFIFO, 2}, {SchedLIFO, 0}, {SchedRandom, 0}} {
+		spy := laneSpy{runs: new(atomic.Int64)}
+		chunks, _ := ringHonest(spy, c.sched)
+		job, err := chunks(11, params{N: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		added := 0
+		if _, err := job.RunChunk(0, trials, sim.NewArena(), func(sim.Result) { added++ }); err != nil {
+			t.Fatalf("%s: %v", c.sched, err)
+		}
+		if added != trials || spy.runs.Load() != c.runs {
+			t.Fatalf("%s: %d results from %d lane executions, want %d from %d",
+				c.sched, added, spy.runs.Load(), trials, c.runs)
 		}
 	}
 }

@@ -23,9 +23,16 @@
 //
 // Results are cached as exact wire bytes under their content address.
 // Deterministic seeding makes a hit a bit-for-bit replay, not an
-// approximation. The in-memory LRU (Cache) can sit over a crash-safe disk
-// tier (Config.CacheDir, package diskcache) that a fleet's nodes share and
-// that survives restarts.
+// approximation. The in-memory LRU (Cache) holds a byte budget
+// (Config.CacheBytes, 2 MiB by default), not an entry count: each finished
+// job is charged its result's length plus a fixed overhead for its record,
+// and evicting an entry drops the finished job's record with it, so a
+// resident daemon's memory does not grow with the requests it serves. A
+// replay refreshes the entry's recency, whether the cache or the finished
+// job's record answers it. The failed and canceled records kept for
+// lookup are capped by the same budget. The in-memory tier can sit over a
+// crash-safe disk tier (Config.CacheDir, package diskcache), which keeps
+// every result, that a fleet's nodes share and that survives restarts.
 //
 // A node runs in one of three roles. A single node runs every job
 // in-process. A coordinator splits distributable trial batches into chunk

@@ -667,7 +667,7 @@ func TestWorkerVersionMismatchBacksOff(t *testing.T) {
 // record under the same content address is dropped with it, and a
 // resubmission of the evicted identity recomputes instead of replaying.
 func TestMemCacheEvictionDropsJobRecord(t *testing.T) {
-	srv, client := newTestServer(t, Config{CacheSize: 1})
+	srv, client := newTestServer(t, Config{CacheBytes: entryOverhead})
 
 	first := JobRequest{Scenario: "ring/basic-lead/fifo", N: 8, Trials: 60, Seed: 81}
 	second := JobRequest{Scenario: "ring/basic-lead/fifo", N: 8, Trials: 60, Seed: 82}

@@ -214,6 +214,9 @@ func (l *lifecycle[R, P]) submit(reqs []R) ([]*record[R, P], error) {
 		l.submitted.Add(1)
 		id := req.key(scs[i], s.version)
 		if j, ok := l.live[id]; ok && j.join(s) {
+			// A replay of a finished job is a use of its cache entry
+			// (a no-op for an in-flight one, which has none yet).
+			s.cache.Touch(id)
 			out[i] = j
 			continue
 		}

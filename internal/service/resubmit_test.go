@@ -12,9 +12,9 @@ import (
 // cache churn must evict only the old object — the `cur == old` check in
 // retire — never the live successor that happens to share its ID.
 func TestResubmitAfterFailureKeepsNewJobAlive(t *testing.T) {
-	// CacheSize 1 keeps the retired-job window at one entry, so every
+	// A one-record budget keeps the retired-job window at one entry, so every
 	// retirement after the first forces an eviction decision.
-	srv, client := newTestServer(t, Config{CacheSize: 1})
+	srv, client := newTestServer(t, Config{CacheBytes: entryOverhead})
 	sched := srv.Scheduler()
 	ctx := context.Background()
 

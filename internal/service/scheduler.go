@@ -78,10 +78,12 @@ type Config struct {
 	// Parallel bounds the number of engine runs in flight at once; 0
 	// picks 2. Additional jobs queue.
 	Parallel int
-	// CacheSize is the result cache capacity in entries; 0 picks
-	// DefaultCacheSize. The same bound caps retained failed/canceled job
-	// records, so a resident daemon's memory stays bounded either way.
-	CacheSize int
+	// CacheBytes is the in-memory result cache's byte budget; 0 picks
+	// DefaultCacheBytes. Each finished result is charged its length plus a
+	// fixed per-record overhead (see Cache). The same budget, divided by
+	// that overhead, caps the retained failed/canceled job records, so a
+	// resident daemon's memory stays bounded either way.
+	CacheBytes int64
 	// CacheDir, when non-empty, backs the result cache with a crash-safe
 	// disk tier rooted at this directory (see internal/service/diskcache).
 	// The in-memory cache becomes a read-through layer over it: memory
@@ -210,9 +212,8 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	if version == "" {
 		version = BuildVersion()
 	}
-	retiredCap := cfg.CacheSize
-	if retiredCap <= 0 {
-		retiredCap = DefaultCacheSize
+	if cfg.CacheBytes <= 0 {
+		cfg.CacheBytes = DefaultCacheBytes
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Scheduler{
@@ -222,7 +223,7 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		sem:        make(chan struct{}, cfg.Parallel),
-		retiredCap: retiredCap,
+		retiredCap: int(max(1, cfg.CacheBytes/entryOverhead)),
 		start:      time.Now(),
 	}
 	s.trials = &lifecycle[JobRequest, scenario.Snapshot]{
@@ -238,7 +239,7 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		runner: s.certWork,
 		live:   make(map[string]*CertJob),
 	}
-	s.cache = NewCache(cfg.CacheSize)
+	s.cache = NewCache(cfg.CacheBytes)
 	if cfg.CacheDir != "" {
 		disk, err := diskcache.Open(cfg.CacheDir)
 		if err != nil {
@@ -411,13 +412,18 @@ type Stats struct {
 	// Cache reports the job-level hit accounting: Hits counts
 	// submissions resolved without an engine run (cache replays plus
 	// in-flight dedup joins), Misses counts submissions that required
-	// one. HitRate is Hits/(Hits+Misses).
+	// one. HitRate is Hits/(Hits+Misses). Entries and Bytes are the
+	// in-memory tier's result count and charged bytes (never above
+	// Config.CacheBytes unless one result alone exceeds it);
+	// LookupHits/LookupMisses count its probes by key, which a replay of a
+	// finished job still held by the scheduler does not make.
 	Cache struct {
 		Hits         int64   `json:"hits"`
 		DedupHits    int64   `json:"dedup_hits"`
 		Misses       int64   `json:"misses"`
 		HitRate      float64 `json:"hit_rate"`
 		Entries      int     `json:"entries"`
+		Bytes        int64   `json:"bytes"`
 		LookupHits   int64   `json:"lookup_hits"`
 		LookupMisses int64   `json:"lookup_misses"`
 	} `json:"cache"`
@@ -491,6 +497,7 @@ func (s *Scheduler) Stats() Stats {
 		st.Cache.HitRate = float64(st.Cache.Hits) / float64(total)
 	}
 	st.Cache.Entries = s.cache.Len()
+	st.Cache.Bytes = s.cache.Bytes()
 	st.Cache.LookupHits, st.Cache.LookupMisses = s.cache.Lookups()
 
 	if s.disk != nil {

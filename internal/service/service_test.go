@@ -520,7 +520,7 @@ func TestRetiredJobsAreBounded(t *testing.T) {
 	}
 	for _, p := range payloads {
 		t.Run(p.name, func(t *testing.T) {
-			srv, client := newTestServer(t, Config{CacheSize: 2})
+			srv, client := newTestServer(t, Config{CacheBytes: 2 * entryOverhead})
 			ctx := context.Background()
 			sched := srv.Scheduler()
 

@@ -15,7 +15,8 @@ package sim
 //     RingEdges slice, the Strategies scratch, the RandomScheduler) aliases
 //     arena-owned memory and is invalidated by the arena's next Run /
 //     RingEdges / Strategies / RandomScheduler call. Copy what must outlive
-//     the trial (see Result.Clone).
+//     the trial (see Result.Clone). A value kept with Keep lives until a
+//     Keep under another key replaces it.
 //   - A nil *Arena is valid everywhere and means "do not recycle": every
 //     method falls back to fresh allocations with identical results, so
 //     code paths that run a single execution need no special casing.
@@ -30,6 +31,8 @@ type Arena struct {
 	ringEdges []Edge
 	randSched *RandomScheduler
 	strategy  []Strategy
+	keptKey   any
+	kept      any
 }
 
 // NewArena returns an empty arena. The zero value is also ready to use.
@@ -99,4 +102,24 @@ func (a *Arena) Strategies(n int) []Strategy {
 		s[i] = nil
 	}
 	return s
+}
+
+// Keep returns the value the arena keeps under key, building and keeping it
+// on a miss. An arena keeps one such value, so a different key replaces it;
+// a failed build leaves the arena as it was. The key must be comparable.
+// Keep lets a layer above sim park per-worker state that outlives one chunk
+// of trials (ring's lane runners) on the worker's arena, and so across the
+// jobs of an arena pool. On a nil arena it calls build every time.
+func (a *Arena) Keep(key any, build func() (any, error)) (any, error) {
+	if a == nil {
+		return build()
+	}
+	if a.kept == nil || a.keptKey != key {
+		v, err := build()
+		if err != nil {
+			return nil, err
+		}
+		a.keptKey, a.kept = key, v
+	}
+	return a.kept, nil
 }

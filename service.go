@@ -14,7 +14,7 @@ import (
 // streaming.
 type (
 	// ServiceConfig tunes one daemon instance (address, engine workers
-	// per job, concurrent jobs, cache capacity, code version).
+	// per job, concurrent jobs, result cache byte budget, code version).
 	ServiceConfig = service.Config
 	// ServiceServer is a daemon instance; embed its Handler or run
 	// ListenAndServe.
