@@ -38,15 +38,23 @@ docs-check:
 # into the protocols' strategies, so its one call, Network.send, is the only
 # frame a send pays; the pending-ring push must inline into that call. A
 # single added branch in either would cost every message a call frame
-# without failing any test. CI runs this in the verify job.
+# without failing any test. The A-LEADuni lane strategies carry most batch
+# messages, so Send must inline at every ctx.Send line of alead/lanes.go, not
+# just somewhere in the package. CI runs this in the verify job.
+LANE_SRC := internal/protocols/alead/lanes.go
 inline-check:
 	@$(GO) build -gcflags=-m ./internal/protocols/alead ./internal/protocols/phaselead 2>&1 | \
 		grep -q 'inlining call to sim.(\*Context).Send' || \
 		{ echo "inline-check: sim.(*Context).Send is no longer inlined" >&2; exit 1; }
+	@want=$$(grep -n '^[^/]*ctx\.Send(' $(LANE_SRC) | cut -d: -f1 | sort -u | tr '\n' ' '); \
+	got=$$($(GO) build -gcflags=-m ./internal/protocols/alead 2>&1 | \
+		sed -n 's/.*lanes\.go:\([0-9]*\):[0-9]*: inlining call to sim\.(\*Context)\.Send$$/\1/p' | sort -u | tr '\n' ' '); \
+	[ -n "$$want" ] && [ "$$want" = "$$got" ] || \
+		{ echo "inline-check: $(LANE_SRC) sends on lines $$want; Context.Send inlines on lines $$got" >&2; exit 1; }
 	@$(GO) build -gcflags=-m ./internal/sim 2>&1 | \
 		grep -q 'can inline (\*Network).pushPending' || \
 		{ echo "inline-check: sim.(*Network).pushPending is no longer inlinable" >&2; exit 1; }
-	@echo "inline-check: Context.Send and the pending-ring push inline"
+	@echo "inline-check: Context.Send (at every lane send) and the pending-ring push inline"
 
 # perfbench-check vets and tests the repo benchmark (BENCHMARK.json).
 # perfbench/ is its own module, so `go build ./...` never compiles it: a

@@ -251,12 +251,16 @@ func BenchmarkALeadHonest(b *testing.B) {
 // BenchmarkALeadBatch is the engine-path rung of plain A-LEADuni batches:
 // each op is one ring.TrialsOpts batch of 64 honest trials on one worker,
 // in which every whole block of ring.Lanes trials of a chunk runs as one
-// lane execution. It reports ns per trial; BenchmarkALeadHonest, which
-// times scalar ring.Run trials, is its control.
+// lane execution. It reports ns per trial and ns per delivered lane message
+// (each trial's n² deliveries count, so one kernel delivery carries
+// ring.Lanes of them): the lane layer's counterpart of the kernel's
+// per-message cost. BenchmarkALeadHonest, which times scalar ring.Run
+// trials, is its control.
 func BenchmarkALeadBatch(b *testing.B) {
 	const trials = 64
 	for _, n := range []int{64, 1024} {
 		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
+			msgs := 0
 			for i := 0; i < b.N; i++ {
 				d, err := ring.TrialsOpts(context.Background(), ring.Spec{N: n, Protocol: alead.New(), Seed: int64(i)},
 					trials, ring.TrialOptions{Workers: 1})
@@ -266,8 +270,11 @@ func BenchmarkALeadBatch(b *testing.B) {
 				if d.Failures() != 0 {
 					b.Fatalf("%d honest trials failed", d.Failures())
 				}
+				msgs += d.Messages
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*trials), "ns/trial")
+			ns := float64(b.Elapsed().Nanoseconds())
+			b.ReportMetric(ns/float64(b.N*trials), "ns/trial")
+			b.ReportMetric(ns/float64(msgs), "ns/msg")
 		})
 	}
 }

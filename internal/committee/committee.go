@@ -20,14 +20,16 @@
 // simulated as its own tiny network, so the per-event cost is bounded by the
 // active group's size, never by n: idle groups cost zero.
 //
-// With A-LEADuni groups, a Runner simulates every block of alead.Lanes (16)
-// consecutive honest groups of one size as one lane execution
-// (alead.LaneRunner): a single ring whose messages carry one value per
-// group, which pays the kernel's per-message cost once for the block. An
+// With A-LEADuni groups, a Runner simulates every block of up to
+// alead.Lanes (16) consecutive honest groups of one size as one lane
+// execution (alead.LaneRunner): a single ring whose messages carry one value
+// per group, which pays the kernel's per-message cost once for the block. An
 // honest A-LEADuni schedule does not depend on its values, so each lane's
 // result is exactly that group's scalar run; the differential tests pin the
-// composed trial against a composition of per-group scalar runs. Groups left
-// over after the last whole block, and an attacked group, run one at a time.
+// composed trial against a composition of per-group scalar runs. A size's
+// last block may be partial (4 of 100 groups at n = 10⁴): it runs padded,
+// and its unused lanes are never folded. A group runs alone only when it is
+// its size's only group, or when it is the attacked group.
 //
 // The composition inherits the inner protocol's resilience. With Basic-LEAD
 // groups, the single delegate-rush adversary (see Election.AttackRunner)
@@ -230,13 +232,14 @@ func (e *Election) runner(target int64) (*Runner, error) {
 		}
 	}
 	if e.inner == InnerALead {
-		// Lane runners only for a size with at least one whole block.
-		if e.g-rem >= alead.Lanes {
+		// Lane runners for every size with at least two groups: a lone
+		// group runs faster alone than as a padded lane block.
+		if e.g-rem >= 2 {
 			if r.lanesSmall, err = alead.NewLaneRunner(base); err != nil {
 				return nil, fmt.Errorf("committee: inner lanes: %w", err)
 			}
 		}
-		if rem >= alead.Lanes {
+		if rem >= 2 {
 			if r.lanesBig, err = alead.NewLaneRunner(base + 1); err != nil {
 				return nil, fmt.Errorf("committee: inner lanes: %w", err)
 			}
@@ -292,8 +295,8 @@ type Runner struct {
 	l2         []sim.Strategy
 	winners    []int64
 
-	// Lane runners for blocks of alead.Lanes consecutive honest groups of
-	// one size (InnerALead only; nil for a size with no whole block).
+	// Lane runners for blocks of up to alead.Lanes consecutive honest
+	// groups of one size (InnerALead only; nil for a size with one group).
 	lanesBig, lanesSmall *alead.LaneRunner
 
 	// Attack state; target 0 means honest.
@@ -311,36 +314,38 @@ func (r *Runner) Winners() []int64 { return r.winners }
 
 // Run executes one composed trial: the g in-group elections in group order,
 // then the delegate circulation, composing the sub-results into one
-// sim.Result. Under InnerALead every block of alead.Lanes consecutive honest
-// groups of one size runs as one lane execution, which returns exactly the
-// results of the block's scalar group runs; the groups left over, and an
-// attacked group, run one at a time. Sub-elections fail fast — the first
-// failing group's reason becomes the trial's reason, with message counters
-// covering the groups up to and including it. The announcement traffic of a
-// successful trial (g delegate reports plus the ring-wide broadcast of the
-// final leader) carries no election-relevant choices, so it is accounted
-// analytically rather than simulated. The returned Result has nil
-// Outputs/Statuses: per-processor state of a composed trial lives in the
-// sub-networks.
+// sim.Result. Under InnerALead every block of up to alead.Lanes consecutive
+// honest groups of one size runs as one lane execution, which returns
+// exactly the results of the block's scalar group runs; a size's only group,
+// and an attacked group, run alone (see laneBlock). Sub-elections fail fast
+// — the first failing group's reason becomes the trial's reason, with
+// message counters covering the groups up to and including it. The
+// announcement traffic of a successful trial (g delegate reports plus the
+// ring-wide broadcast of the final leader) carries no election-relevant
+// choices, so it is accounted analytically rather than simulated. The
+// returned Result has nil Outputs/Statuses: per-processor state of a
+// composed trial lives in the sub-networks.
 func (r *Runner) Run(trialSeed int64) (sim.Result, error) {
 	e := r.e
 	var agg sim.Result
 	for j := 0; j < e.g; {
-		if lanes, arena := r.laneBlock(j); lanes != nil {
+		if lanes, arena, count := r.laneBlock(j); lanes != nil {
+			// A partial block's unused lanes run under seed 0 and are
+			// never folded.
 			var seeds [alead.Lanes]int64
-			for l := range seeds {
+			for l := range count {
 				seeds[l] = GroupSeed(trialSeed, j+l)
 			}
 			block, err := lanes.Run(arena, seeds)
 			if err != nil {
-				return sim.Result{}, fmt.Errorf("committee: groups %d-%d: %w", j+1, j+alead.Lanes, err)
+				return sim.Result{}, fmt.Errorf("committee: groups %d-%d: %w", j+1, j+count, err)
 			}
-			for l := range block {
+			for l := range count {
 				if r.fold(&agg, j+l, &block[l]) {
 					return agg, nil
 				}
 			}
-			j += alead.Lanes
+			j += count
 			continue
 		}
 		size := e.sizes[j]
@@ -404,10 +409,12 @@ func (r *Runner) Run(trialSeed int64) (sim.Result, error) {
 	return agg, nil
 }
 
-// laneBlock returns the lane runner and arena for the block of alead.Lanes
-// groups starting at group j, or a nil runner when groups j..j+Lanes−1 are
-// not all honest groups of one size.
-func (r *Runner) laneBlock(j int) (*alead.LaneRunner, *sim.Arena) {
+// laneBlock returns the lane runner and arena for the block starting at
+// group j, and the number of groups it covers: up to alead.Lanes consecutive
+// groups of j's size, stopping short of the attacked group. It returns a nil
+// runner when group j runs alone: its size has no lane runner, or it is the
+// attacked group.
+func (r *Runner) laneBlock(j int) (*alead.LaneRunner, *sim.Arena, int) {
 	e := r.e
 	// The n mod g groups of size base+1 come first, so a size's groups form
 	// one run: [0, rem) for the big size, [rem, g) for the small one.
@@ -416,13 +423,13 @@ func (r *Runner) laneBlock(j int) (*alead.LaneRunner, *sim.Arena) {
 	if j < rem {
 		lanes, arena, end = r.lanesBig, r.arenaBig, rem
 	}
-	if lanes == nil || j+alead.Lanes > end {
-		return nil, nil
+	if r.target != 0 && r.atkGroup >= j && r.atkGroup < end {
+		end = r.atkGroup
 	}
-	if r.target != 0 && r.atkGroup >= j && r.atkGroup < j+alead.Lanes {
-		return nil, nil
+	if lanes == nil || j == end {
+		return nil, nil, 0
 	}
-	return lanes, arena
+	return lanes, arena, min(end-j, alead.Lanes)
 }
 
 // fold adds group j's result to the trial aggregate and records its winner.

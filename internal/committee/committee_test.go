@@ -191,8 +191,9 @@ func TestAttackStallsALead(t *testing.T) {
 // TestRunnerDeterminism pins the reproducibility contract: the same trial
 // seed yields identical results on a fresh runner and on a recycled one, so
 // committee batches shard over the fleet exactly like flat batches.
-// n = 50 (7 groups) runs every group alone; n = 400 (20 groups) runs one
-// lane block plus four leftover groups.
+// n = 50 (7 groups) runs its one group of 8 alone and its six groups of 7
+// as one padded lane block; n = 400 (20 groups) runs one whole lane block
+// and one padded block of four groups.
 func TestRunnerDeterminism(t *testing.T) {
 	for _, n := range []int{50, 400} {
 		e, err := New(n, InnerALead)
@@ -291,19 +292,20 @@ func scalarTrial(t *testing.T, e *Election, trialSeed, target int64) (sim.Result
 // TestRunnerMatchesScalarComposition is the committee's differential test
 // for lane blocks: a runner's trials must equal the scalar composition of
 // per-group ring.RunArena runs, counters, failure and winners included. The
-// sizes give one whole block (256), a block beside a leftover group of the
-// other size (290), a block plus leftovers (400) and six blocks plus
-// leftovers (10⁴). Attacked targets sit in a group a block would otherwise
-// cover and in a leftover group.
+// sizes give one whole block (256), a block beside a lone group of the other
+// size (290), and a whole block plus a padded tail of 2 (324), 4 (400) and
+// 15 groups (961); 10⁴ runs six whole blocks and a padded tail of 4.
+// Attacked targets sit in a group a block would otherwise cover, cutting its
+// block short, and in the last group, inside the padded tail.
 func TestRunnerMatchesScalarComposition(t *testing.T) {
 	for _, inner := range []string{InnerBasic, InnerALead} {
-		for _, n := range []int{256, 290, 400, 10000} {
+		for _, n := range []int{256, 290, 324, 400, 961, 10000} {
 			e, err := New(n, inner)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// The first position of a middle group (inside a block's span)
-			// and of the last group (a leftover at n = 400 and 10⁴).
+			// and of the last group (in the padded tail from n = 324 on).
 			targets := []int64{0, int64(e.starts[e.g/2+1]) + 1, int64(e.starts[e.g-1]) + 1}
 			trials := 3
 			if n == 10000 {
@@ -338,10 +340,12 @@ func TestRunnerMatchesScalarComposition(t *testing.T) {
 }
 
 // TestWarmRunnerAllocBudget pins the honest runner's steady state at zero
-// allocations per trial, at sizes whose groups run as whole lane blocks: a
-// lane path that allocated per group or per block would fail here.
+// allocations per trial, at sizes whose groups run as lane blocks: whole
+// (256), whole plus a padded tail of 4 (400), and six whole plus a padded
+// tail of 4 (10⁴). A lane path that allocated per group or per block would
+// fail here.
 func TestWarmRunnerAllocBudget(t *testing.T) {
-	for _, n := range []int{256, 10000} {
+	for _, n := range []int{256, 400, 10000} {
 		e, err := New(n, InnerALead)
 		if err != nil {
 			t.Fatal(err)

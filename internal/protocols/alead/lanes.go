@@ -2,6 +2,7 @@ package alead
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ring"
 	"repro/internal/sim"
@@ -51,10 +52,14 @@ type LaneRunner struct {
 	res [Lanes]sim.Result
 }
 
-// NewLaneRunner builds a lane runner for rings of n ≥ 2 processors.
+// NewLaneRunner builds a lane runner for rings of 2 ≤ n ≤ math.MaxInt32
+// processors: lane values are secrets in [0, n), held as int32.
 func NewLaneRunner(n int) (*LaneRunner, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("alead: need n ≥ 2 for a lane ring, got %d", n)
+	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("alead: lane values are int32, so a lane ring needs n ≤ %d, got %d", math.MaxInt32, n)
 	}
 	sh := &laneShared{}
 	outs := make([]int64, Lanes*(n+1))
@@ -116,28 +121,43 @@ func (r *LaneRunner) split(net sim.Result) []sim.Result {
 // execution has exactly one message in flight at any time (see LaneRunner):
 // a processor handling the delivery of slot s sends the only new message,
 // into slot s^1, so no send can overwrite a slot still in flight.
+//
+// Lane values are int32, so a slot is 64 bytes: the compiler moves a whole
+// slot with a few unrolled vector moves, where 16 int64s would cost a
+// runtime.duffcopy call per message. Values need no reduction: every value
+// on an honest lane ring is a secret drawn from [0, n) and forwarded
+// unchanged, so the scalar run's ring.Mod on receipt is the identity there.
+// Sums stay int64, and the one reduction each lane needs happens in
+// ring.LeaderFromSum at termination, as in the scalar run.
 type laneShared struct {
 	seeds    [Lanes]int64
-	table    [2][Lanes]int64
+	table    [2][Lanes]int32
 	outputs  [Lanes][]int64      // outputs[l][i]: processor i's output in lane l
 	statuses [Lanes][]sim.Status // statuses[l][i]: its status in lane l
 }
 
 // slots returns the slot a delivery of payload s reads and the slot the
 // delivering processor sends in.
-func (sh *laneShared) slots(s int64) (in, out *[Lanes]int64) {
+func (sh *laneShared) slots(s int64) (in, out *[Lanes]int32) {
 	return &sh.table[s&1], &sh.table[(s&1)^1]
 }
 
 // begin draws a processor's secret in every lane — exactly the draw
 // ctx.Rand() makes at Init in the scalar run under that lane's seed — and
 // marks the processor running with output 0 in every lane.
-func (sh *laneShared) begin(ctx *sim.Context, n int, secret *[Lanes]int64) {
+func (sh *laneShared) begin(ctx *sim.Context, n int, secret *[Lanes]int32) {
 	id := ctx.Self()
 	for l := range secret {
 		rng := sim.NewStream(sh.seeds[l], id)
-		secret[l] = rng.Int63n(int64(n))
+		secret[l] = int32(rng.Int63n(int64(n)))
 		sh.outputs[l][id], sh.statuses[l][id] = 0, sim.StatusRunning
+	}
+}
+
+// addLanes adds a slot's values into per-lane sums.
+func addLanes(sum *[Lanes]int64, in *[Lanes]int32) {
+	for l, v := range in {
+		sum[l] += int64(v)
 	}
 }
 
@@ -145,7 +165,7 @@ func (sh *laneShared) begin(ctx *sim.Context, n int, secret *[Lanes]int64) {
 // the leader of its sum if its last incoming value is its own secret, and
 // aborts with output 0 otherwise. The processor itself terminates on the
 // shared ring either way, which keeps the schedule common to all lanes.
-func (sh *laneShared) finish(ctx *sim.Context, n int, last, secret, sum *[Lanes]int64) {
+func (sh *laneShared) finish(ctx *sim.Context, n int, last, secret *[Lanes]int32, sum *[Lanes]int64) {
 	id := ctx.Self()
 	for l := range last {
 		if last[l] != secret[l] {
@@ -162,7 +182,7 @@ func (sh *laneShared) finish(ctx *sim.Context, n int, last, secret, sum *[Lanes]
 type laneOrigin struct {
 	sh       *laneShared
 	n        int
-	secret   [Lanes]int64
+	secret   [Lanes]int32
 	sum      [Lanes]int64
 	received int
 }
@@ -177,29 +197,29 @@ func (o *laneOrigin) Init(ctx *sim.Context) {
 	ctx.Send(0)
 }
 
-// Receive is origin.Receive in every lane.
+// Receive is origin.Receive in every lane: forward the incoming values, or
+// validate them on the n-th receive.
 func (o *laneOrigin) Receive(ctx *sim.Context, _ sim.ProcID, slot int64) {
 	in, out := o.sh.slots(slot)
-	n := o.n
-	for l, v := range in {
-		v = ring.Mod(v, n)
-		out[l] = v
-		o.sum[l] += v
-	}
+	addLanes(&o.sum, in)
 	o.received++
 	if o.received < o.n {
+		// Through a local: a pointer-to-pointer array copy compiles to a
+		// runtime.memmove call, as the compiler cannot rule out overlap.
+		v := *in
+		*out = v
 		ctx.Send(slot ^ 1)
 		return
 	}
-	o.sh.finish(ctx, o.n, out, &o.secret, &o.sum)
+	o.sh.finish(ctx, o.n, in, &o.secret, &o.sum)
 }
 
 // laneNormal is normal with one secret, buffer and sum per lane.
 type laneNormal struct {
 	sh       *laneShared
 	n        int
-	secret   [Lanes]int64
-	buffer   [Lanes]int64
+	secret   [Lanes]int32
+	buffer   [Lanes]int32
 	sum      [Lanes]int64
 	received int
 }
@@ -217,14 +237,10 @@ func (p *laneNormal) Init(ctx *sim.Context) {
 // buffer the incoming ones, and validate on the n-th receive.
 func (p *laneNormal) Receive(ctx *sim.Context, _ sim.ProcID, slot int64) {
 	in, out := p.sh.slots(slot)
+	*out = p.buffer
+	p.buffer = *in
+	addLanes(&p.sum, in)
 	ctx.Send(slot ^ 1)
-	n := p.n
-	for l, v := range in {
-		v = ring.Mod(v, n)
-		out[l] = p.buffer[l]
-		p.buffer[l] = v
-		p.sum[l] += v
-	}
 	p.received++
 	if p.received < p.n {
 		return

@@ -1,6 +1,7 @@
 package alead
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -193,5 +194,14 @@ func TestNewLaneRunnerRejectsTinyRings(t *testing.T) {
 		if _, err := NewLaneRunner(n); err == nil {
 			t.Fatalf("n=%d accepted", n)
 		}
+	}
+}
+
+// TestNewLaneRunnerRejectsRingsBeyondInt32 pins the int32 lane values'
+// bound: a ring whose secrets might not fit an int32 is refused before
+// anything is allocated.
+func TestNewLaneRunnerRejectsRingsBeyondInt32(t *testing.T) {
+	if _, err := NewLaneRunner(math.MaxInt32 + 1); err == nil {
+		t.Fatal("n = MaxInt32+1 accepted")
 	}
 }

@@ -10,10 +10,12 @@
 // stripes — runner state never crosses goroutines. The runners are built
 // and warmed outside the timed region, and a batch under a second is timed
 // three times and reported by its median. The flat column runs the
-// same inner protocol (A-LEADuni) directly on the full ring; above
-// -flat-max (default 10,000) one flat trial costs Θ(n²) ≈ 10⁹ messages, so
-// the tool prints the analytic n² bill and a time projection instead of
-// simulating it, marked "(proj)".
+// same inner protocol (A-LEADuni) directly on the full ring, as a plain
+// batch: -flat-trials must be a whole number of lane blocks (ring.Lanes
+// trials each), so every timed flat trial is a lane execution's, as in any
+// plain batch. Above -flat-max (default 10,000) one flat trial costs
+// Θ(n²) ≈ 10⁹ messages, so the tool prints the analytic n² bill and a time
+// projection instead of simulating it, marked "(proj)".
 package main
 
 import (
@@ -46,13 +48,18 @@ func run(args []string) error {
 	var (
 		sizesFlag  = fs.String("sizes", "256,1000,10000,50000", "comma-separated ring sizes")
 		trials     = fs.Int("trials", 1000, "composed trials per size")
-		flatTrials = fs.Int("flat-trials", 4, "flat trials per size (timing sample)")
+		flatTrials = fs.Int("flat-trials", ring.Lanes, "flat trials per size (timing sample; a positive multiple of the lane width)")
 		flatMax    = fs.Int("flat-max", 10000, "largest n simulated flat; beyond it the n² bill is projected")
 		seed       = fs.Int64("seed", 20180516, "base seed")
 		workers    = fs.Int("workers", runtime.NumCPU(), "parallel workers for composed batches")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// A partial lane block runs scalar, which would time a different path
+	// than plain batches take.
+	if *flatTrials < ring.Lanes || *flatTrials%ring.Lanes != 0 {
+		return fmt.Errorf("-flat-trials %d is not a positive multiple of the lane width %d", *flatTrials, ring.Lanes)
 	}
 	sizes, err := parseSizes(*sizesFlag)
 	if err != nil {
@@ -99,7 +106,7 @@ func measure(n, trials, flatTrials, flatMax int, seed int64, workers int) (strin
 	if projected {
 		proj = " (proj)"
 	}
-	return fmt.Sprintf("| %d | %d | %d | %d%s | %.2f | %.0f%s | %.4f | %s |",
+	return fmt.Sprintf("| %d | %d | %d | %d%s | %.2f | %.2f%s | %.4f | %s |",
 		n, e.Groups(), e.MessagesPerTrial(), flatMsgs, proj,
 		perTrial, flatMS, proj, biasUB, batch1k(perTrial)), nil
 }

@@ -12,14 +12,20 @@ import (
 	"repro/internal/service"
 )
 
-// pickDistinct selects count cheap scenarios, honest ones first and
-// attacks only if too few honest ones exist, each at its smallest size
+// builtin is the scenario registry as the process starts, before the dsl
+// reference registers its generated specs: the catalog a daemon started
+// without -mar serves. The phases pick from it and check against it, so
+// they run the same in any order and on a second pass in one process.
+var builtin = scenario.All()
+
+// pickDistinct selects count cheap built-in scenarios, honest ones first
+// and attacks only if too few honest ones exist, each at its smallest size
 // from 8 up, skipping sizes above maxN (0 = no cap). Seeds count up from
 // seedBase, so the batch mixes distinct content addresses.
 func pickDistinct(count, trials int, seedBase int64, maxN int) []service.JobRequest {
 	var reqs []service.JobRequest
 	for _, attacks := range []bool{false, true} {
-		for _, s := range scenario.All() {
+		for _, s := range builtin {
 			n := max(8, s.MinN)
 			if len(reqs) == count || (s.Attack != "") != attacks || (maxN > 0 && n > maxN) {
 				continue
@@ -30,15 +36,23 @@ func pickDistinct(count, trials int, seedBase int64, maxN int) []service.JobRequ
 	return reqs
 }
 
-// checkCatalog requires the daemon's catalog to match the in-process
-// registry in length and to list every name in want.
-func checkCatalog(ctx context.Context, c *service.Client, want ...string) error {
+// checkCatalog requires the daemon's catalog to be exactly the built-in
+// registry plus dsl, the scenarios of the generated specs the daemon was
+// started with. It compares against builtin, not the live registry, which
+// also holds the dsl reference's scenarios once a dsl phase has run in this
+// process.
+func checkCatalog(ctx context.Context, c *service.Client, dsl ...string) error {
 	catalog, err := c.Scenarios(ctx)
 	if err != nil {
 		return fmt.Errorf("scenarios: %w", err)
 	}
-	if len(catalog) != len(scenario.All()) {
-		return fmt.Errorf("daemon lists %d scenarios, in-process registry has %d", len(catalog), len(scenario.All()))
+	if want := len(builtin) + len(dsl); len(catalog) != want {
+		return fmt.Errorf("daemon lists %d scenarios, want %d (%d built in, %d generated)",
+			len(catalog), want, len(builtin), len(dsl))
+	}
+	want := slices.Clone(dsl)
+	for _, s := range builtin {
+		want = append(want, s.Name)
 	}
 	for _, name := range want {
 		if !slices.ContainsFunc(catalog, func(d scenario.Descriptor) bool { return d.Name == name }) {

@@ -6,7 +6,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 // serveBin and loadBin are the fleserve and fleload binaries the phases
@@ -39,9 +42,10 @@ func testMain(m *testing.M) int {
 }
 
 // TestPhases runs every phase against the real binaries, as the make
-// targets do. The dsl phase registers its generated specs in this process,
-// so it runs after the phases that compare the daemon's catalog with the
-// in-process registry, and a second pass in one process (-count=2) fails.
+// targets do. The dsl phase registers its generated specs in this process
+// once; the other phases pick from and compare against the built-in
+// registry, so the phases also pass a second time in one process
+// (-count=2).
 func TestPhases(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots real daemon processes")
@@ -128,6 +132,34 @@ func TestPickDistinct(t *testing.T) {
 			if r.Trials != tc.trials {
 				t.Errorf("%s given %d trials, want %d", r.Scenario, r.Trials, tc.trials)
 			}
+		}
+	}
+}
+
+// TestDSLReferenceRegistersOnce checks what a second dsl pass in one process
+// rests on: the reference registers once and returns the same names on
+// every call, and the built-in registry the other phases pick from and
+// check against holds none of them.
+func TestDSLReferenceRegistersOnce(t *testing.T) {
+	first, err := dslReference()
+	if err != nil || len(first) != 4 {
+		t.Fatalf("dsl reference registered %v: %v", first, err)
+	}
+	again, err := dslReference()
+	if err != nil || !slices.Equal(again, first) {
+		t.Fatalf("second call returned %v, %v; want %v", again, err, first)
+	}
+	for _, name := range first {
+		if _, ok := scenario.Find(name); !ok {
+			t.Errorf("%s is not in the process registry", name)
+		}
+		if slices.ContainsFunc(builtin, func(s scenario.Scenario) bool { return s.Name == name }) {
+			t.Errorf("built-in registry lists generated scenario %s", name)
+		}
+	}
+	for _, r := range pickDistinct(serviceDistinct, serviceTrials, 1000, 0) {
+		if slices.Contains(first, r.Scenario) {
+			t.Errorf("pickDistinct picked generated scenario %s", r.Scenario)
 		}
 	}
 }

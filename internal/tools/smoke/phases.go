@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/equilibrium"
@@ -141,14 +142,16 @@ func certifyPhase(ctx context.Context, cfg config) error {
 	return nil
 }
 
-// fleetChunk is the fleet's lease size. At n = 24 one chunk of fleetJob
-// costs about 140 ms of CPU, several hundred ms of wall clock while five
-// claimants share the machine, so worker 2 dies well inside its first
-// lease. The job's 16 chunks keep the queue non-empty while the five
-// claimants take their first ones.
+// fleetChunk is the fleet's lease size. At n = 80 one chunk of fleetJob
+// costs about 100–150 ms of CPU in 16-trial lane blocks, several hundred ms
+// of wall clock while five claimants share the machine, so worker 2 dies
+// well inside its first lease; a chunk of a few ms could be reported
+// between the check that worker 2 holds it and the kill. The job's 16
+// chunks keep the queue non-empty while the five claimants take their
+// first ones.
 const fleetChunk = 8000
 
-var fleetJob = service.JobRequest{Scenario: "ring/a-lead/fifo", N: 24, Trials: 16 * fleetChunk, Seed: 20180516}
+var fleetJob = service.JobRequest{Scenario: "ring/a-lead/fifo", N: 80, Trials: 16 * fleetChunk, Seed: 20180516}
 
 func fleetPhase(ctx context.Context, cfg config) error {
 	cacheDir, err := os.MkdirTemp("", "smoke-fleet-")
@@ -271,21 +274,40 @@ func killInLease(ctx context.Context, coord *service.Client, w *node) error {
 	}
 }
 
+// dslSources are the dsl phase's generated specs. The protocol spec comes
+// first: the adversary deviates from it.
+func dslSources() []string {
+	return []string{mardsl.GenerateProtocol(dslSeed), mardsl.GenerateAdversary(dslSeed)}
+}
+
+// dslReference registers dslSources in this process, the reference the dsl
+// phase checks the daemon's catalog and results against. It registers at
+// most once per process, since the registry refuses a name twice, and
+// returns the scenario names the specs created.
+var dslReference = sync.OnceValues(func() ([]string, error) {
+	var names []string
+	for _, src := range dslSources() {
+		got, err := marlib.Register(src)
+		if err != nil {
+			return nil, err
+		}
+		names = append(names, got...)
+	}
+	return names, nil
+})
+
 func dslPhase(ctx context.Context, cfg config) error {
 	dir, err := os.MkdirTemp("", "smoke-dsl-")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	// The protocol spec comes first: the adversary deviates from it.
 	args := []string{"-parallel", "1"}
-	var files []string
-	for i, src := range []string{mardsl.GenerateProtocol(dslSeed), mardsl.GenerateAdversary(dslSeed)} {
+	for i, src := range dslSources() {
 		path := filepath.Join(dir, fmt.Sprintf("spec%d.mar", i))
 		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 			return err
 		}
-		files = append(files, path)
 		args = append(args, "-mar", path)
 	}
 	n, err := startNode(ctx, cfg.fleserve, args...)
@@ -293,9 +315,7 @@ func dslPhase(ctx context.Context, cfg config) error {
 		return err
 	}
 	defer n.stop()
-	// The same files, registered here, are the reference the daemon's
-	// catalog and results are checked against.
-	names, err := marlib.RegisterFiles(files)
+	names, err := dslReference()
 	if err != nil || len(names) != 4 {
 		return fmt.Errorf("generated specs registered %v, want 4 scenarios (3 honest + 1 attack): %v", names, err)
 	}
