@@ -74,8 +74,9 @@ check: build docs-check inline-check perfbench-check test race
 # service-smoke is the daemon's end-to-end acceptance run: build the real
 # fleserve binary, boot it on an ephemeral port, drive a 100-job concurrent
 # batch (20 distinct scenarios × 5 copies), and verify completion, a cache
-# hit-rate ≥ 0.8, byte-identical replays, and agreement with direct
-# in-process scenario runs. CI runs this on every push.
+# hit-rate ≥ 0.8, byte-identical replays, agreement with direct in-process
+# scenario runs, and that every fresh job ran through the node's chunk
+# queue. CI runs this on every push.
 service-smoke:
 	$(GO) build -o bin/fleserve ./cmd/fleserve
 	$(GO) run ./internal/tools/smoke -phase service -bin bin/fleserve

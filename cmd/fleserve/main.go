@@ -13,12 +13,15 @@
 // spec'd scenarios are served exactly like the built-in ones; the embedded
 // spec twins (ring/mar-basic-lead/*) are always present.
 //
+// Every node splits a trial job into -fleet-chunk trial chunks that its
+// own claimants run, and never runs more than -parallel engine runs (trial
+// chunks or certification sweeps) at once.
+//
 // Roles:
 //
 //	single       (default) one self-contained daemon
-//	coordinator  accepts jobs, splits distributable batches into trial
-//	             chunks, and leases them to workers over /chunks/*; also
-//	             runs chunks itself, so a fleet of one still makes progress
+//	coordinator  a single node that also leases its chunks to workers
+//	             over /chunks/*
 //	worker       claims chunks from the coordinator at -join and reports
 //	             shard results; its own job endpoints answer 421 pointing
 //	             at the coordinator

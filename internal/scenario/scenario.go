@@ -270,8 +270,11 @@ func (s Scenario) SingleRun(seed int64, sched sim.Scheduler, o Opts) (res sim.Re
 // derive from the logical index, so merging the shards of any partition of
 // [0, trials) — in any order, on any mix of machines — reproduces the full
 // batch's distribution bit-for-bit (Distribution merges are counter sums).
-// This is the unit of work a fleet worker claims from a coordinator.
-// Progress and Stop overrides are ignored: shards are plain sub-batches.
+// This is the unit of work a daemon's claimants run, locally or leased.
+// Stop is ignored: shards are plain sub-batches. Progress is honored only
+// by a shard that starts at trial 0, whose engine prefixes are prefixes of
+// the whole batch, so RunShard(…, 0, trials) delivers exactly RunOpts's
+// snapshot sequence.
 func (s Scenario) RunShard(ctx context.Context, seed int64, o Opts, start, end int) (*ring.Distribution, error) {
 	p, err := s.runParams(o)
 	if err != nil {
@@ -284,8 +287,11 @@ func (s Scenario) RunShard(ctx context.Context, seed int64, o Opts, start, end i
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %s: %w", s.Name, err)
 	}
-	dist, err := engine.RunRange(ctx, start, end, job, distSink(p.N),
-		engine.Options[*ring.Distribution]{Workers: p.Workers, Arenas: p.arenas})
+	eo := engine.Options[*ring.Distribution]{Workers: p.Workers, Arenas: p.arenas}
+	if start == 0 {
+		eo.Observe = p.observe
+	}
+	dist, err := engine.RunRange(ctx, start, end, job, distSink(p.N), eo)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %s: %w", s.Name, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/ring"
@@ -117,5 +118,42 @@ func TestRunShardValidation(t *testing.T) {
 	}
 	if shard.Trials != 0 {
 		t.Fatalf("empty shard ran %d trials", shard.Trials)
+	}
+}
+
+// TestRunShardProgressFromTrialZero pins the progress a daemon streams
+// from a job's first chunk: a shard starting at trial 0 delivers the
+// batch's own prefix snapshots — RunOpts's whole sequence for the whole
+// range, its leading points for a shorter one — and a shard starting past
+// trial 0 delivers none.
+func TestRunShardProgressFromTrialZero(t *testing.T) {
+	s := MustFind("ring/a-lead/fifo")
+	const trials, head = 300, 128 // head is four engine chunks
+	ctx := context.Background()
+	capture := func(run func(Opts) error) []Snapshot {
+		t.Helper()
+		var snaps []Snapshot
+		o := Opts{N: 16, Trials: trials, Workers: 2, Progress: func(snap Snapshot) { snaps = append(snaps, snap) }}
+		if err := run(o); err != nil {
+			t.Fatal(err)
+		}
+		return snaps
+	}
+	want := capture(func(o Opts) error { _, err := s.RunOpts(ctx, 42, o); return err })
+	if len(want) < 2 {
+		t.Fatalf("RunOpts delivered %d snapshots, want a sequence", len(want))
+	}
+	shard := func(start, end int) func(Opts) error {
+		return func(o Opts) error { _, err := s.RunShard(ctx, 42, o, start, end); return err }
+	}
+	if got := capture(shard(0, trials)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("RunShard(0, %d) delivered %d snapshots differing from RunOpts's %d", trials, len(got), len(want))
+	}
+	got := capture(shard(0, head))
+	if len(got) == 0 || got[len(got)-1].Done != head || !reflect.DeepEqual(got, want[:len(got)]) {
+		t.Fatalf("RunShard(0, %d) delivered %+v, want RunOpts's snapshots up to %d", head, got, head)
+	}
+	if got := capture(shard(head, trials)); len(got) != 0 {
+		t.Fatalf("RunShard(%d, %d) delivered %d snapshots, want none", head, trials, len(got))
 	}
 }

@@ -81,16 +81,17 @@ func (r CertRequest) validate(sc scenario.Scenario, maxTrials int) error {
 	return nil
 }
 
-// certWork picks a fresh sweep's work: runCert, holding one engine slot
-// for the sweep's whole duration exactly like a trial job.
-func (s *Scheduler) certWork(scenario.Scenario) (work[CertRequest, equilibrium.Progress], bool) {
-	return s.runCert, true
-}
-
-// runCert is the certification work: one best-response sweep, publishing
-// each finished candidate in enumeration order. Its trials count once,
-// when the candidate reports.
+// runCert is the certification work: one best-response sweep on one
+// engine slot, held for the sweep's whole duration, publishing each
+// finished candidate in enumeration order. Its trials count once, when the
+// candidate reports.
 func (s *Scheduler) runCert(j *CertJob, sc scenario.Scenario) (any, error) {
+	release, err := s.slot(j.ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	j.start()
 	opts := j.Req.options(s.version)
 	opts.Workers = s.cfg.Workers
 	opts.Arenas = s.arenas

@@ -120,7 +120,8 @@ func TestCertifyCacheReplayByteIdentity(t *testing.T) {
 // requests fold into one computation, and that trial jobs and sweeps share
 // the engine slots without sharing identities.
 func TestCertifyDedupSharesOneSweep(t *testing.T) {
-	srv, client := newTestServer(t, Config{})
+	// One chunk per job, so the blocker is one engine run.
+	srv, client := newTestServer(t, Config{FleetChunk: DefaultMaxTrials})
 	ctx := context.Background()
 
 	// Occupy the single engine slot so the sweeps stay queued.
@@ -159,16 +160,21 @@ func TestCertifyDedupSharesOneSweep(t *testing.T) {
 // TestCertifyCancel cancels a queued sweep and checks the terminal state
 // propagates to watchers and to resubmission semantics.
 func TestCertifyCancel(t *testing.T) {
-	_, client := newTestServer(t, Config{})
+	// One chunk per job: a trial job frees its slot between chunks.
+	srv, client := newTestServer(t, Config{FleetChunk: DefaultMaxTrials})
 	ctx := context.Background()
 
 	// The blocker must hold the single engine slot until the cancel request
 	// lands; the batched trial kernel runs a-lead trials in microseconds, so
 	// the trial count is sized for hundreds of milliseconds of occupancy.
+	// It holds the slot once it runs: a sweep submitted sooner can win the
+	// slot from the claimant about to run the blocker's chunk.
 	blocker := JobRequest{Scenario: "ring/a-lead/fifo", N: 24, Trials: 120000, Seed: 2}
-	if _, err := client.Submit(ctx, []JobRequest{blocker}); err != nil {
+	blockers, err := client.Submit(ctx, []JobRequest{blocker})
+	if err != nil {
 		t.Fatal(err)
 	}
+	waitStatus(t, srv, blockers[0].ID, StatusRunning)
 	states, err := client.SubmitCerts(ctx, []CertRequest{{Scenario: "ring/a-lead/fifo", N: 16, Trials: 5000, Seed: 3}})
 	if err != nil {
 		t.Fatal(err)

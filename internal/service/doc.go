@@ -5,12 +5,11 @@
 //
 // Every job is one content-addressed record moving through one lifecycle:
 // submit (validate the whole batch, then join an identical job in flight,
-// replay a cached result, or start a fresh run), execute (wait for an
-// engine slot, run, marshal, cache), retire, lookup and cancel. Two
-// payloads use it:
+// replay a cached result, or start a fresh run), execute (run the work,
+// marshal, cache), retire, lookup and cancel. Two payloads use it:
 //
 //   - Trial batches (POST /jobs, Job, JobState): a scenario run keyed by
-//     scenario.JobKey, streaming the engine's progress snapshots — trials
+//     scenario.JobKey, streaming deterministic prefix snapshots — trials
 //     completed plus the running bias estimate under its Wilson interval.
 //   - Certification sweeps (POST /certify, CertJob, CertState): an
 //     equilibrium best-response sweep keyed by equilibrium.Key, streaming
@@ -18,8 +17,11 @@
 //
 // A payload supplies only what differs: its request's validation and
 // content address, and the work function that computes the value to
-// marshal. Fresh work runs on a bounded set of engine slots whose workers
-// draw recycled sim.Arena workspaces from one shared engine.ArenaPool.
+// marshal. Every trial job is split into chunks on the node's chunk queue
+// and merged in chunk order, so a job of one chunk still streams the
+// engine's prefixes. Every engine run (a chunk, a leased chunk, a sweep)
+// holds one of Config.Parallel slots, and its workers draw recycled
+// sim.Arena workspaces from one shared engine.ArenaPool.
 //
 // Results are cached as exact wire bytes under their content address.
 // Deterministic seeding makes a hit a bit-for-bit replay, not an
@@ -34,12 +36,11 @@
 // crash-safe disk tier (Config.CacheDir, package diskcache), which keeps
 // every result, that a fleet's nodes share and that survives restarts.
 //
-// A node runs in one of three roles. A single node runs every job
-// in-process. A coordinator splits distributable trial batches into chunk
-// leases at /chunks/* and merges the shards in chunk order, so results and
-// progress are byte-identical to a single node at any fleet size. A worker
-// owns no jobs and only claims chunks from the coordinator it joined. An
-// idle worker's claim waits on the coordinator, in the same queue as the
+// A node runs in one of three roles. A coordinator is a single node that
+// also leases its chunks to workers at /chunks/*, so results are
+// byte-identical to a single node at any fleet size. A worker owns no
+// jobs and only claims chunks from the coordinator it joined. An idle
+// worker's claim waits on the coordinator, in the same queue as the
 // coordinator's own claimants, until a chunk is queued.
 //
 // The HTTP surface is GET /scenarios; POST /jobs and POST /certify

@@ -12,10 +12,10 @@ import (
 	"repro/internal/scenario"
 )
 
-// Node roles. A single node schedules and runs everything in-process; a
-// coordinator decomposes trial jobs into chunks that workers (and its own
-// local claimants) lease over HTTP; a worker owns no jobs and only claims
-// chunks from the coordinator it joined.
+// Node roles. Every node splits its trial jobs into chunks that its own
+// local claimants run. A single node keeps them to itself; a coordinator
+// also leases them to workers over HTTP; a worker owns no jobs and only
+// claims chunks from the coordinator it joined.
 const (
 	RoleSingle      = "single"
 	RoleCoordinator = "coordinator"
@@ -25,7 +25,8 @@ const (
 // DefaultFleetChunk is the trials-per-chunk used when Config leaves
 // FleetChunk zero: small enough that a medium batch spreads across a
 // 3-node fleet, large enough that per-chunk HTTP overhead stays a rounding
-// error next to the engine work.
+// error next to the engine work. A job of at most this many trials is one
+// chunk, whose engine prefixes stream as its progress.
 const DefaultFleetChunk = 512
 
 // DefaultLeaseTTL is the chunk lease lifetime used when Config leaves
@@ -79,11 +80,11 @@ type ChunkHeartbeat struct {
 	Lease int64 `json:"lease"`
 }
 
-// fleetTask is one trial job being distributed: its chunk results and the
+// fleetTask is one trial job split into chunks: its chunk results and the
 // chunk-order merge frontier. Results merge into merged strictly in chunk
-// index order — exactly the order the single-node engine folds its own
-// chunk stream — so the progress snapshots and the final distribution are
-// byte-identical to a local run at any fleet size.
+// index order — exactly the order the engine folds its own chunk stream —
+// so every progress snapshot is a deterministic prefix of the batch and
+// the final distribution is byte-identical to RunOpts at any fleet size.
 type fleetTask struct {
 	job  *Job
 	sc   scenario.Scenario
@@ -100,20 +101,19 @@ type fleetTask struct {
 	aborted bool
 }
 
-// fleetChunk is one leasable trial range.
+// fleetChunk is one trial range of a task.
 type fleetChunk struct {
 	task       *fleetTask
 	index      int
 	start, end int
-	lease      int64 // current lease id; 0 while queued
+	lease      int64 // current lease id; 0 unless leased to a worker
 	expires    time.Time
 }
 
-// fleet is the coordinator's chunk exchange: a queue of unleased chunks, a
-// lease table, and the merge state of every distributed job. Locking: f.mu
-// is leaf-level — nothing under it takes s.mu or a job's mu except the
-// progress update path, which takes job.mu (itself a leaf). Scheduler
-// methods may call into fleet while holding no locks.
+// fleet is a node's chunk exchange: a queue of unclaimed chunks, the lease
+// table of chunks out with workers, and the merge state of every trial
+// job. Locking: f.mu is leaf-level — nothing under it takes s.mu or a
+// job's mu. Scheduler methods may call into fleet while holding no locks.
 type fleet struct {
 	s         *Scheduler
 	chunkSize int
@@ -132,10 +132,10 @@ type fleet struct {
 	remote    atomic.Int64 // claims granted over HTTP
 }
 
-// newFleet builds the coordinator state and starts its goroutines: one
-// janitor that reclaims expired leases even when no claim traffic arrives,
-// and cfg.Parallel local claimants, so a coordinator with zero workers
-// still drains every job by itself.
+// newFleet builds the node's chunk exchange and starts its goroutines:
+// one janitor that reclaims expired leases even when no claim traffic
+// arrives, and cfg.Parallel local claimants, which drain every job on a
+// node with no workers.
 func newFleet(s *Scheduler) *fleet {
 	f := &fleet{
 		s:         s,
@@ -183,8 +183,8 @@ func (f *fleet) wakeLocked() {
 	f.wake = make(chan struct{})
 }
 
-// enqueue decomposes one fresh job into leasable chunks and returns its
-// task; runFleet waits on task.done.
+// enqueue decomposes one fresh job into chunks and returns its task;
+// runTrials waits on task.done.
 func (f *fleet) enqueue(j *Job, sc scenario.Scenario, opts scenario.Opts) *fleetTask {
 	n, total := sc.Resolve(opts)
 	task := &fleetTask{
@@ -250,19 +250,13 @@ func (f *fleet) popLocked() *fleetChunk {
 	return nil
 }
 
-// leaseLocked grants a lease on c. Callers hold f.mu.
-func (f *fleet) leaseLocked(c *fleetChunk) {
-	f.nextLease++
-	c.lease = f.nextLease
-	c.expires = time.Now().Add(f.ttl)
-	f.leased[c.lease] = c
-}
-
 // claim is the one claim path of local and HTTP claimants: it reclaims
-// expired leases and leases the next queued chunk. With none queued it
-// waits until a chunk is queued, the scheduler closes or ctx ends,
-// returning nil in the last two cases; a ctx that has already ended makes
-// it a single non-blocking look at the queue.
+// expired leases and takes the next queued chunk off the queue. With none
+// queued it waits until a chunk is queued, the scheduler closes or ctx
+// ends, returning nil in the last two cases; a ctx that has already ended
+// makes it a single non-blocking look at the queue. A local claimant runs
+// the chunk without a lease: it lives and dies with its node, so nothing
+// could outlive it to re-issue the chunk.
 func (f *fleet) claim(ctx context.Context) *fleetChunk {
 	closing := f.s.baseCtx
 	f.mu.Lock()
@@ -270,7 +264,6 @@ func (f *fleet) claim(ctx context.Context) *fleetChunk {
 	for closing.Err() == nil {
 		f.reclaimExpiredLocked()
 		if c := f.popLocked(); c != nil {
-			f.leaseLocked(c)
 			return c
 		}
 		if ctx.Err() != nil {
@@ -294,7 +287,8 @@ func (f *fleet) claim(ctx context.Context) *fleetChunk {
 // for one to be queued, or returns nil when none came. ctx is the
 // claimant's request: a chunk that arrives just as the claimant hangs up
 // goes back to the front of the queue unleased, instead of sitting idle
-// for a full TTL under a lease nobody holds.
+// for a full TTL under a lease nobody holds. A granted lease starts its
+// job.
 func (f *fleet) claimRemote(ctx context.Context, wait time.Duration) *ChunkLease {
 	waitCtx, cancel := context.WithTimeout(ctx, wait)
 	defer cancel()
@@ -303,24 +297,27 @@ func (f *fleet) claimRemote(ctx context.Context, wait time.Duration) *ChunkLease
 		return nil
 	}
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	if ctx.Err() != nil {
-		if f.leased[c.lease] == c { // else its task died or the lease expired meanwhile
-			delete(f.leased, c.lease)
-			c.lease = 0
-			f.queue = slices.Insert(f.queue, 0, c)
-			f.wakeLocked()
-		}
+		f.queue = slices.Insert(f.queue, 0, c)
+		f.wakeLocked()
+		f.mu.Unlock()
 		return nil
 	}
-	f.remote.Add(1)
-	return &ChunkLease{
+	f.nextLease++
+	c.lease = f.nextLease
+	c.expires = time.Now().Add(f.ttl)
+	f.leased[c.lease] = c
+	lease := &ChunkLease{
 		Lease:    c.lease,
 		Job:      c.task.job.Req,
 		Start:    c.start,
 		End:      c.end,
 		TTLMilli: f.ttl.Milliseconds(),
 	}
+	f.mu.Unlock()
+	f.remote.Add(1)
+	c.task.job.start()
+	return lease
 }
 
 // heartbeat extends a live lease by one TTL. It reports false when the
@@ -340,25 +337,37 @@ func (f *fleet) heartbeat(lease int64) bool {
 // report resolves a lease with its shard result or error. Unknown leases
 // (expired and re-issued, canceled jobs) report false and the result is
 // dropped — the lease table is what makes re-issued chunks merge exactly
-// once. A chunk error fails the whole task: partial batches are never
-// cached or served.
+// once.
 func (f *fleet) report(lease int64, dist *ring.Distribution, errMsg string) bool {
 	f.mu.Lock()
 	c, ok := f.leased[lease]
+	delete(f.leased, lease)
+	f.mu.Unlock()
 	if !ok {
-		f.mu.Unlock()
 		return false
 	}
-	delete(f.leased, lease)
+	var err error
+	if errMsg != "" {
+		err = errors.New(errMsg)
+	}
+	f.fold(c, dist, err)
+	return true
+}
+
+// fold merges one finished chunk's shard into its task, or fails the
+// whole task with the chunk's error: partial batches are never cached or
+// served. A chunk of a dead task is dropped.
+func (f *fleet) fold(c *fleetChunk, dist *ring.Distribution, err error) {
+	f.mu.Lock()
 	t := c.task
 	if t.aborted {
 		f.mu.Unlock()
-		return true
+		return
 	}
-	if errMsg != "" {
-		f.failTaskLocked(t, errors.New(errMsg))
+	if err != nil {
+		f.failTaskLocked(t, err)
 		f.mu.Unlock()
-		return true
+		return
 	}
 	t.results[c.index] = dist
 	f.completed.Add(1)
@@ -391,12 +400,12 @@ func (f *fleet) report(lease int64, dist *ring.Distribution, errMsg string) bool
 	if publish {
 		t.job.publish(f.s, snap, frontierTrials)
 	}
-	return true
 }
 
-// failTaskLocked kills a task: queued chunks die lazily via the aborted
-// flag, in-flight leases are dropped so late results bounce, and done
-// closes exactly once. Callers hold f.mu.
+// failTaskLocked kills a task that has neither finished nor failed yet:
+// queued chunks die lazily via the aborted flag, in-flight leases are
+// dropped so late results bounce, and done closes exactly once. Callers
+// hold f.mu.
 func (f *fleet) failTaskLocked(t *fleetTask, err error) {
 	if t.aborted || t.frontier == t.chunks {
 		return
@@ -411,17 +420,9 @@ func (f *fleet) failTaskLocked(t *fleetTask, err error) {
 	close(t.done)
 }
 
-// abort cancels a task (job canceled or scheduler closing).
-func (f *fleet) abort(t *fleetTask) {
-	f.mu.Lock()
-	f.failTaskLocked(t, t.job.ctx.Err())
-	f.mu.Unlock()
-}
-
-// localClaimant is the coordinator's in-process worker loop: claim, run,
-// report. It shares the scheduler's arena pool and worker count with the
-// single-node path, so a zero-worker coordinator is operationally a
-// single node with chunk-granular scheduling.
+// localClaimant is the node's in-process claim loop: claim, run, fold.
+// It shares the scheduler's arena pool and worker count with every other
+// engine run on the node.
 func (f *fleet) localClaimant() {
 	defer f.s.wg.Done()
 	for {
@@ -433,55 +434,45 @@ func (f *fleet) localClaimant() {
 	}
 }
 
-// runLocal executes one claimed chunk in-process, heartbeating like a
-// remote worker so long chunks survive their lease.
+// runLocal runs one claimed chunk in-process on an engine slot; a chunk
+// whose job ends while it waits for the slot is dropped. The chunk that
+// starts at trial 0 streams the engine's prefix snapshots as the job's
+// progress, so a job of one chunk still reports progress before it ends.
 func (f *fleet) runLocal(c *fleetChunk) {
-	f.s.busy.Add(1)
-	defer f.s.busy.Add(-1)
-	t := c.task
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		ticker := time.NewTicker(f.ttl / 3)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				if !f.heartbeat(c.lease) {
-					return
-				}
-			}
-		}
-	}()
-	o := t.opts
-	o.Workers = f.s.cfg.Workers
-	o.Arenas = f.s.arenas
-	dist, err := t.sc.RunShard(t.job.ctx, t.job.Req.Seed, o, c.start, c.end)
+	j := c.task.job
+	release, err := f.s.slot(j.ctx)
 	if err != nil {
-		f.report(c.lease, nil, err.Error())
 		return
 	}
-	f.report(c.lease, dist, "")
+	defer release()
+	j.start()
+	o := c.task.opts
+	o.Workers = f.s.cfg.Workers
+	o.Arenas = f.s.arenas
+	if c.start == 0 {
+		o.Progress = func(snap scenario.Snapshot) { j.publish(f.s, snap, snap.Done) }
+	}
+	dist, err := c.task.sc.RunShard(j.ctx, j.Req.Seed, o, c.start, c.end)
+	f.fold(c, dist, err)
 }
 
-// runFleet is the coordinator's trial work, the counterpart of run:
-// decompose the job, wait for the chunk-order merge to cover the batch,
-// and summarize it. The final frontier advance publishes no progress, so
-// done is only ever published here, once the outcome exists; the task is
-// finished by then, so merged is quiescent and safe to read without f.mu.
-func (s *Scheduler) runFleet(j *Job, sc scenario.Scenario) (any, error) {
+// runTrials is the trial work: decompose the job into chunks, wait for the
+// chunk-order merge to cover the batch, and summarize it. The final
+// frontier advance publishes no progress, so the merged total is published
+// here, once the outcome exists; the task is finished by then, so merged
+// is quiescent and safe to read without f.mu.
+func (s *Scheduler) runTrials(j *Job, sc scenario.Scenario) (any, error) {
 	opts := j.Req.opts()
-	task := s.fleet.enqueue(j, sc, opts)
+	f := s.fleet
+	task := f.enqueue(j, sc, opts)
 	select {
 	case <-task.done:
 	case <-j.ctx.Done():
-		s.fleet.abort(task)
 	}
-	s.fleet.mu.Lock()
+	f.mu.Lock()
+	f.failTaskLocked(task, context.Cause(j.ctx)) // a job that ended first kills its task
 	err, merged := task.err, task.merged
-	s.fleet.mu.Unlock()
+	f.mu.Unlock()
 	switch {
 	case j.ctx.Err() != nil:
 		return nil, context.Cause(j.ctx)

@@ -50,7 +50,8 @@ type errorResponse struct {
 // routes assembles the daemon's HTTP surface. Workers expose only the
 // operational endpoints: a worker owns no jobs, so the job surface points
 // submitters at the coordinator instead of half-working. Coordinators
-// additionally serve the chunk-lease exchange under /chunks/.
+// additionally serve the chunk-lease exchange under /chunks/; that is all
+// that sets them apart from a single node.
 func (s *Server) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)

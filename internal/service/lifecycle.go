@@ -121,11 +121,21 @@ func (j *record[R, P]) finish(status JobStatus, result []byte, errMsg string) {
 	close(j.done)
 }
 
+// start marks a queued job running: its first engine run has begun.
+func (j *record[R, P]) start() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.st.Status == StatusQueued {
+		j.st.Status = StatusRunning
+	}
+}
+
 // publish records a progress point covering done trials and credits the
-// newly covered trials to the scheduler's throughput counter. Engine
-// snapshots, fleet frontier snapshots and finished certificate candidates
-// all arrive here. Racing fleet reporters can deliver a stale prefix; it
-// must never regress the stream, so it is dropped.
+// newly covered trials to the scheduler's throughput counter. The first
+// chunk's engine snapshots, chunk-merge frontier snapshots and finished
+// certificate candidates all arrive here. Racing chunk reporters can
+// deliver a stale prefix; it must never regress the stream, so it is
+// dropped.
 func (j *record[R, P]) publish(s *Scheduler, p P, done int) {
 	j.mu.Lock()
 	if done < j.lastDone {
@@ -159,22 +169,22 @@ func (j *record[R, P]) join(s *Scheduler) bool {
 }
 
 // work computes a fresh job's value (an outcome, a certificate), which
-// execute marshals and caches. It runs on the job's context and publishes
-// progress through the record.
+// execute marshals and caches. It runs on the job's context, takes the
+// engine slots its runs need, marks the job running once the first one
+// starts, and publishes progress through the record.
 type work[R request, P any] func(*record[R, P], scenario.Scenario) (any, error)
 
 // lifecycle is the content-addressed job lifecycle of one payload: submit,
 // execute, retire, lookup and cancel. Beyond its request type's methods, a
-// payload supplies only runner and the two texts its errors name it by.
+// payload supplies only run and the two texts its errors name it by.
 // Scheduler.mu guards live and retired.
 type lifecycle[R request, P any] struct {
 	s *Scheduler
 	// noun names one request in submit errors ("job 3: …"); label
 	// prefixes "batch" and "job" in the empty-batch and HTTP error texts.
 	noun, label string
-	// runner picks the work for a fresh job of the scenario, and reports
-	// whether that work holds one of the Parallel engine slots.
-	runner func(scenario.Scenario) (work[R, P], bool)
+	// run is the payload's work for a fresh job.
+	run work[R, P]
 
 	submitted atomic.Int64
 	live      map[string]*record[R, P]
@@ -244,39 +254,20 @@ func (l *lifecycle[R, P]) submit(reqs []R) ([]*record[R, P], error) {
 		}
 		s.runsFresh.Add(1)
 		s.wg.Add(1)
-		run, slot := l.runner(scs[i])
-		go l.execute(j, scs[i], run, slot)
+		go l.execute(j, scs[i])
 	}
 	return out, nil
 }
 
-// execute runs one fresh job to a terminal state. With slot it first waits
-// for one of the Parallel engine slots and holds it for the whole run; a
-// job canceled while it waits ends canceled. The job's value is marshaled
-// once: done results are cached, failed and canceled records retire.
-func (l *lifecycle[R, P]) execute(j *record[R, P], sc scenario.Scenario, run work[R, P], slot bool) {
+// execute runs one fresh job to a terminal state. The work waits for its
+// own engine slots, so a job canceled while it waits ends canceled. The
+// job's value is marshaled once: done results are cached, failed and
+// canceled records retire.
+func (l *lifecycle[R, P]) execute(j *record[R, P], sc scenario.Scenario) {
 	s := l.s
 	defer s.wg.Done()
 	defer j.cancel() // release the context once the job is terminal
-	var err error
-	if slot {
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-			s.busy.Add(1)
-			defer s.busy.Add(-1)
-		case <-j.ctx.Done():
-			// Canceled (or scheduler closed) while still queued.
-			err = context.Cause(j.ctx)
-		}
-	}
-	var v any
-	if err == nil {
-		j.mu.Lock()
-		j.st.Status = StatusRunning
-		j.mu.Unlock()
-		v, err = run(j, sc)
-	}
+	v, err := l.run(j, sc)
 	// Decided before marshaling: a marshal error fails the job even when
 	// its context has been canceled since the work returned.
 	canceled := err != nil && (errors.Is(err, context.Canceled) || j.ctx.Err() != nil)

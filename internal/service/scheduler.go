@@ -75,8 +75,11 @@ type Config struct {
 	// Workers is the engine worker count per job run; 0 picks
 	// runtime.NumCPU(). Results are identical for any value.
 	Workers int
-	// Parallel bounds the number of engine runs in flight at once; 0
-	// picks 2. Additional jobs queue.
+	// Parallel bounds the engine runs in flight on this node at once; 0
+	// picks 2. Every engine run holds one of Parallel slots for its whole
+	// duration: a trial chunk a local claimant runs, a chunk a worker
+	// leased, and a certification sweep. Further work queues. It is also
+	// the number of local claimants, and on a worker of claim loops.
 	Parallel int
 	// CacheBytes is the in-memory result cache's byte budget; 0 picks
 	// DefaultCacheBytes. Each finished result is charged its length plus a
@@ -106,20 +109,23 @@ type Config struct {
 	// profile`). Off by default: the endpoints expose stacks and timings
 	// and belong behind an operator's explicit opt-in.
 	Profiling bool
-	// Role selects the node's fleet role: RoleSingle (default when empty)
-	// runs jobs entirely in-process; RoleCoordinator decomposes trial
-	// jobs into chunk leases served at /chunks/* and merges the shards in
-	// chunk order, so results are byte-identical to a single node at any
-	// fleet size; RoleWorker joins a coordinator and only claims chunks.
+	// Role selects the node's fleet role. Every node splits its trial
+	// jobs into chunks that its local claimants run and merges the shards
+	// in chunk order. RoleSingle (default when empty) keeps the chunks to
+	// itself; RoleCoordinator also leases them to workers at /chunks/*,
+	// with results byte-identical to a single node at any fleet size;
+	// RoleWorker joins a coordinator, claims its chunks and serves no jobs.
 	Role string
 	// Join is the coordinator base URL a RoleWorker node claims from
 	// (e.g. "http://127.0.0.1:8080"). Required for workers, ignored
 	// otherwise.
 	Join string
-	// FleetChunk is the coordinator's trials-per-chunk decomposition
-	// granularity; 0 picks DefaultFleetChunk. Any value produces the same
-	// job results (the merge is a counter sum); smaller chunks spread
-	// better, larger ones amortize HTTP round trips.
+	// FleetChunk is the trials per chunk a trial job is split into; 0
+	// picks DefaultFleetChunk. Any value produces the same job results
+	// (the merge is a counter sum). Smaller chunks spread better over a
+	// fleet and free an engine slot sooner; larger ones amortize HTTP
+	// round trips. Progress arrives once per merged chunk, and within the
+	// first chunk at every engine prefix when a local claimant runs it.
 	FleetChunk int
 	// LeaseTTL is how long a claimed chunk stays leased without a
 	// heartbeat before the coordinator re-issues it to another claimant;
@@ -170,7 +176,7 @@ type Scheduler struct {
 	version string
 	cache   *Cache
 	disk    *diskcache.Store // nil without Config.CacheDir
-	fleet   *fleet           // nil unless Config.Role is RoleCoordinator
+	fleet   *fleet           // the chunk queue every trial job runs through
 	arenas  *engine.ArenaPool
 
 	baseCtx    context.Context
@@ -208,6 +214,12 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	if cfg.MaxTrials <= 0 {
 		cfg.MaxTrials = DefaultMaxTrials
 	}
+	switch cfg.Role {
+	case "", RoleSingle, RoleCoordinator, RoleWorker:
+	default:
+		return nil, fmt.Errorf("service: unknown role %q (want %s, %s, or %s)",
+			cfg.Role, RoleSingle, RoleCoordinator, RoleWorker)
+	}
 	version := cfg.Version
 	if version == "" {
 		version = BuildVersion()
@@ -227,17 +239,17 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		start:      time.Now(),
 	}
 	s.trials = &lifecycle[JobRequest, scenario.Snapshot]{
-		s:      s,
-		noun:   "job",
-		runner: s.trialWork,
-		live:   make(map[string]*Job),
+		s:    s,
+		noun: "job",
+		run:  s.runTrials,
+		live: make(map[string]*Job),
 	}
 	s.sweeps = &lifecycle[CertRequest, equilibrium.Progress]{
-		s:      s,
-		noun:   "cert",
-		label:  "certification ",
-		runner: s.certWork,
-		live:   make(map[string]*CertJob),
+		s:     s,
+		noun:  "cert",
+		label: "certification ",
+		run:   s.runCert,
+		live:  make(map[string]*CertJob),
 	}
 	s.cache = NewCache(cfg.CacheBytes)
 	if cfg.CacheDir != "" {
@@ -248,18 +260,26 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		}
 		s.disk = disk
 	}
-	switch cfg.Role {
-	case "", RoleSingle, RoleWorker:
-		// A worker's claim loop lives at the Server layer (it speaks
-		// HTTP); the scheduler itself runs nothing fleet-specific.
-	case RoleCoordinator:
-		s.fleet = newFleet(s)
-	default:
-		cancel()
-		return nil, fmt.Errorf("service: unknown role %q (want %s, %s, or %s)",
-			cfg.Role, RoleSingle, RoleCoordinator, RoleWorker)
-	}
+	// A worker's claim loop lives at the Server layer (it speaks HTTP);
+	// the chunk queue is the same on every node.
+	s.fleet = newFleet(s)
 	return s, nil
+}
+
+// slot waits for one of the Parallel engine slots and returns its
+// release. Every engine run on the node holds one for its whole duration,
+// and busy counts only here. It fails with ctx's cause if ctx ends first.
+func (s *Scheduler) slot(ctx context.Context) (release func(), err error) {
+	select {
+	case s.sem <- struct{}{}:
+	case <-ctx.Done():
+		return nil, context.Cause(ctx)
+	}
+	s.busy.Add(1)
+	return func() {
+		s.busy.Add(-1)
+		<-s.sem
+	}, nil
 }
 
 // cachePut stores finished result bytes in both tiers and drops the job
@@ -357,27 +377,6 @@ func (s *Scheduler) Cancel(id string) bool { return s.trials.cancel(id) }
 // content-addressed semantics as Cancel.
 func (s *Scheduler) CancelCert(id string) bool { return s.sweeps.cancel(id) }
 
-// trialWork picks a fresh trial job's work. A coordinator spreads the
-// scenario (every registered one has a chunked job) over its chunk
-// exchange, where the claimants run the chunks, so the job itself holds no
-// engine slot; a single node runs the batch whole on one slot.
-func (s *Scheduler) trialWork(scenario.Scenario) (work[JobRequest, scenario.Snapshot], bool) {
-	if s.fleet != nil {
-		return s.runFleet, false
-	}
-	return s.run, true
-}
-
-// run is the single-node trial work: the whole batch on the engine,
-// publishing the engine's progress snapshots.
-func (s *Scheduler) run(j *Job, sc scenario.Scenario) (any, error) {
-	opts := j.Req.opts()
-	opts.Workers = s.cfg.Workers
-	opts.Arenas = s.arenas
-	opts.Progress = func(snap scenario.Snapshot) { j.publish(s, snap, snap.Done) }
-	return sc.RunOpts(j.ctx, j.Req.Seed, opts)
-}
-
 // Close cancels every in-flight job and waits for their goroutines. The
 // scheduler accepts no further submissions afterwards. The cancel happens
 // under s.mu: Submit holds the lock from its closed-check through its last
@@ -438,11 +437,13 @@ type Stats struct {
 		Writes  int64 `json:"writes"`
 		Errors  int64 `json:"errors"`
 	} `json:"disk"`
-	// Fleet reports the node's role and chunk-exchange counters. On a
-	// coordinator, the chunk fields cover the lease lifecycle (queued,
-	// leased and the claims waiting for work are instantaneous, the rest
-	// cumulative); on a worker, the claimed/done/errors counters cover its
-	// claim loop. A single node reports only its role.
+	// Fleet reports the node's role and its chunk queue: queued, leased
+	// and the claims waiting for work are instantaneous, the rest
+	// cumulative. Every node splits its own trial jobs into chunks, so a
+	// single node counts enqueued and completed chunks too; ChunksLeased,
+	// RemoteClaims and Reissued count leases to workers, which only a
+	// coordinator grants. On a worker, Claimed, Done and Errors cover its
+	// claim loop.
 	Fleet struct {
 		Role            string `json:"role"`
 		ChunkTrials     int    `json:"chunk_trials,omitempty"`
@@ -510,19 +511,18 @@ func (s *Scheduler) Stats() Stats {
 	if st.Fleet.Role == "" {
 		st.Fleet.Role = RoleSingle
 	}
-	if f := s.fleet; f != nil {
-		st.Fleet.ChunkTrials = f.chunkSize
-		st.Fleet.LeaseTTLMillis = f.ttl.Milliseconds()
-		f.mu.Lock()
-		st.Fleet.ChunksQueued = len(f.queue)
-		st.Fleet.ChunksLeased = len(f.leased)
-		st.Fleet.ClaimsWaiting = f.waiting
-		f.mu.Unlock()
-		st.Fleet.ChunksEnqueued = f.enqueued.Load()
-		st.Fleet.ChunksCompleted = f.completed.Load()
-		st.Fleet.Reissued = f.reissued.Load()
-		st.Fleet.RemoteClaims = f.remote.Load()
-	}
+	f := s.fleet
+	st.Fleet.ChunkTrials = f.chunkSize
+	st.Fleet.LeaseTTLMillis = f.ttl.Milliseconds()
+	f.mu.Lock()
+	st.Fleet.ChunksQueued = len(f.queue)
+	st.Fleet.ChunksLeased = len(f.leased)
+	st.Fleet.ClaimsWaiting = f.waiting
+	f.mu.Unlock()
+	st.Fleet.ChunksEnqueued = f.enqueued.Load()
+	st.Fleet.ChunksCompleted = f.completed.Load()
+	st.Fleet.Reissued = f.reissued.Load()
+	st.Fleet.RemoteClaims = f.remote.Load()
 
 	st.Workers.Parallel = s.cfg.Parallel
 	st.Workers.PerJob = s.cfg.Workers

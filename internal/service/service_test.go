@@ -239,6 +239,94 @@ func TestWatchStreamsProgress(t *testing.T) {
 	}
 }
 
+// TestOneChunkJobStreamsEngineProgress pins snapshot granularity on the
+// chunk path: a job of one chunk on a single node publishes the engine's
+// prefix snapshots while it runs, not just its final total.
+func TestOneChunkJobStreamsEngineProgress(t *testing.T) {
+	srv, client := newTestServer(t, Config{})
+	job := JobRequest{Scenario: "ring/a-lead/fifo", N: 1024, Trials: DefaultFleetChunk, Seed: 12}
+	states, err := client.Submit(context.Background(), []JobRequest{job})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	j, ok := srv.Scheduler().Job(states[0].ID)
+	if !ok {
+		t.Fatal("submitted job not registered")
+	}
+	mid := map[int]bool{} // progress points seen before the batch was done
+	for running := true; running; time.Sleep(time.Millisecond) {
+		select {
+		case <-j.Done():
+			running = false
+		default:
+		}
+		if p := j.State().Progress; p != nil && p.Done > 0 && p.Done < p.Total {
+			mid[p.Done] = true
+		}
+	}
+	if final := j.State(); final.Status != StatusDone {
+		t.Fatalf("job finished %s: %s", final.Status, final.Error)
+	}
+	if st := srv.Scheduler().Stats(); st.Fleet.ChunksCompleted != 1 {
+		t.Fatalf("the job ran as %d chunks, want 1", st.Fleet.ChunksCompleted)
+	}
+	if len(mid) == 0 {
+		t.Fatal("a one-chunk job published no progress point between 0 and its total")
+	}
+}
+
+// TestEngineRunsBoundedByParallel pins the Parallel bound on both roles
+// that own jobs: with one slot, a trial job submitted while a
+// certification sweep runs stays queued, and /statz never reports more
+// than one busy engine run.
+func TestEngineRunsBoundedByParallel(t *testing.T) {
+	// The sweep takes seconds: every candidate runs its full budget at
+	// n = 256. It is canceled once the window closes.
+	sweep := CertRequest{Scenario: "ring/a-lead/fifo", N: 256, Trials: 20000, MinTrials: 20000, Seed: 5}
+	const window = 300 * time.Millisecond
+	for _, role := range []string{RoleSingle, RoleCoordinator} {
+		t.Run(role, func(t *testing.T) {
+			srv, client := newTestServer(t, Config{Role: role, Parallel: 1})
+			sched := srv.Scheduler()
+			ctx := context.Background()
+			certs, err := client.SubmitCerts(ctx, []CertRequest{sweep})
+			if err != nil {
+				t.Fatalf("submit sweep: %v", err)
+			}
+			cert, _ := sched.Cert(certs[0].ID)
+			waitUntil(t, "the sweep never started", func() bool { return cert.State().Status == StatusRunning })
+			jobs, err := client.Submit(ctx, []JobRequest{quickJob})
+			if err != nil {
+				t.Fatalf("submit job: %v", err)
+			}
+			job, _ := sched.Job(jobs[0].ID)
+			for end := time.Now().Add(window); time.Now().Before(end); time.Sleep(2 * time.Millisecond) {
+				st, err := client.Stats(ctx)
+				if err != nil {
+					t.Fatalf("statz: %v", err)
+				}
+				if st.Workers.Busy > 1 {
+					t.Fatalf("/statz reports %d busy engine runs with Parallel 1", st.Workers.Busy)
+				}
+				if status := job.State().Status; status != StatusQueued {
+					t.Fatalf("the trial job is %s while the sweep holds the only slot", status)
+				}
+				if status := cert.State().Status; status != StatusRunning {
+					t.Fatalf("the sweep is %s before the window closed; it must outlast it", status)
+				}
+			}
+			if !sched.CancelCert(cert.ID) || !sched.Cancel(job.ID) {
+				t.Fatal("a cancel of the sweep or the job was not delivered")
+			}
+			<-cert.Done()
+			<-job.Done()
+			if c, j := cert.State().Status, job.State().Status; c != StatusCanceled || j != StatusCanceled {
+				t.Fatalf("sweep ended %s and job %s, want both canceled", c, j)
+			}
+		})
+	}
+}
+
 // TestWatchDecodesLongLines follows a job whose terminal state is one NDJSON
 // line of more than 64 KiB — the outcome of a committee election at
 // n = 40,000 — so the watch scanner must grow its buffer well past bufio's
@@ -520,7 +608,10 @@ func TestRetiredJobsAreBounded(t *testing.T) {
 	}
 	for _, p := range payloads {
 		t.Run(p.name, func(t *testing.T) {
-			srv, client := newTestServer(t, Config{CacheBytes: 2 * entryOverhead})
+			// One chunk per job: the blocker's single engine run holds the
+			// only slot from start to cancel, with no chunk boundary at
+			// which a queued sweep could take it.
+			srv, client := newTestServer(t, Config{CacheBytes: 2 * entryOverhead, FleetChunk: DefaultMaxTrials})
 			ctx := context.Background()
 			sched := srv.Scheduler()
 

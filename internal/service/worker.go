@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/ring"
 	"repro/internal/scenario"
 )
 
@@ -133,13 +134,12 @@ func (w *Worker) claim(ctx context.Context, wait bool) (*ChunkLease, error) {
 	}
 }
 
-// runLease executes one leased chunk and reports its shard. A heartbeat
-// goroutine keeps the lease alive at a third of its TTL; a 410 from the
-// coordinator (lease re-issued, job canceled) cancels the run — the work
-// no longer has a recipient.
+// runLease executes one leased chunk on an engine slot and reports its
+// shard. A heartbeat goroutine keeps the lease alive at a third of its
+// TTL, also while the chunk waits for the slot; a 410 from the coordinator
+// (lease re-issued, job canceled) cancels the run — the work no longer has
+// a recipient.
 func (w *Worker) runLease(ctx context.Context, lease *ChunkLease) {
-	w.s.busy.Add(1)
-	defer w.s.busy.Add(-1)
 	sc, ok := scenario.Find(lease.Job.Scenario)
 	if !ok {
 		w.errs.Add(1)
@@ -172,10 +172,15 @@ func (w *Worker) runLease(ctx context.Context, lease *ChunkLease) {
 		}
 	}()
 
-	o := lease.Job.opts()
-	o.Workers = w.s.cfg.Workers
-	o.Arenas = w.s.arenas
-	dist, err := sc.RunShard(runCtx, lease.Job.Seed, o, lease.Start, lease.End)
+	release, err := w.s.slot(runCtx)
+	var dist *ring.Distribution
+	if err == nil {
+		o := lease.Job.opts()
+		o.Workers = w.s.cfg.Workers
+		o.Arenas = w.s.arenas
+		dist, err = sc.RunShard(runCtx, lease.Job.Seed, o, lease.Start, lease.End)
+		release()
+	}
 	if err != nil {
 		w.errs.Add(1)
 		if runCtx.Err() != nil {

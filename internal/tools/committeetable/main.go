@@ -15,7 +15,9 @@
 // trials each), so every timed flat trial is a lane execution's, as in any
 // plain batch. Above -flat-max (default 10,000) one flat trial costs
 // Θ(n²) ≈ 10⁹ messages, so the tool prints the analytic n² bill and a time
-// projection instead of simulating it, marked "(proj)".
+// projection instead of simulating it, marked "(proj)": the -flat-max size
+// is timed once per run and every projected row scales that one timing by
+// (n/flat-max)².
 package main
 
 import (
@@ -66,10 +68,13 @@ func run(args []string) error {
 		return err
 	}
 
+	flat := &flatBills{max: *flatMax, measure: func(n int) (flatBill, error) {
+		return flatRun(n, *flatTrials, *seed, *workers)
+	}}
 	fmt.Println("| n | groups | composed msgs/trial | flat msgs/trial | composed ms/trial | flat ms/trial | composed bias UB (95%) | 1k-trial batch |")
 	fmt.Println("|---|---|---|---|---|---|---|---|")
 	for _, n := range sizes {
-		row, err := measure(n, *trials, *flatTrials, *flatMax, *seed, *workers)
+		row, err := measure(n, *trials, flat, *seed, *workers)
 		if err != nil {
 			return fmt.Errorf("n=%d: %w", n, err)
 		}
@@ -79,7 +84,7 @@ func run(args []string) error {
 }
 
 // measure produces one table row.
-func measure(n, trials, flatTrials, flatMax int, seed int64, workers int) (string, error) {
+func measure(n, trials int, flat *flatBills, seed int64, workers int) (string, error) {
 	e, err := committee.New(n, committee.InnerALead)
 	if err != nil {
 		return "", err
@@ -98,7 +103,7 @@ func measure(n, trials, flatTrials, flatMax int, seed int64, workers int) (strin
 	biasUB := hi - 1.0/float64(n)
 	perTrial := elapsed.Seconds() * 1000 / float64(trials)
 
-	flatMsgs, flatMS, projected, err := flatCost(n, flatTrials, flatMax, seed, workers)
+	bill, projected, err := flat.at(n)
 	if err != nil {
 		return "", err
 	}
@@ -107,8 +112,8 @@ func measure(n, trials, flatTrials, flatMax int, seed int64, workers int) (strin
 		proj = " (proj)"
 	}
 	return fmt.Sprintf("| %d | %d | %d | %d%s | %.2f | %.2f%s | %.4f | %s |",
-		n, e.Groups(), e.MessagesPerTrial(), flatMsgs, proj,
-		perTrial, flatMS, proj, biasUB, batch1k(perTrial)), nil
+		n, e.Groups(), e.MessagesPerTrial(), bill.msgs, proj,
+		perTrial, bill.ms, proj, biasUB, batch1k(perTrial)), nil
 }
 
 // batch1k is the wall time of a 1,000-trial batch at perTrialMS
@@ -198,29 +203,50 @@ func stripes(e *committee.Election, runners []*committee.Runner, trials int, see
 	return counts, time.Since(start), firstErr
 }
 
-// flatCost measures (or, above flatMax, projects) the flat A-LEADuni bill
-// at size n: messages per trial and milliseconds per trial.
-func flatCost(n, flatTrials, flatMax int, seed int64, workers int) (msgs int, ms float64, projected bool, err error) {
-	if n > flatMax {
-		// A-LEADuni circulates every secret around the whole ring: n² data
-		// messages. Project time from the largest measured size by the n²
-		// growth law.
-		baseMsgs, baseMS, _, err := flatCost(flatMax, flatTrials, flatMax, seed, workers)
-		if err != nil {
-			return 0, 0, false, err
-		}
-		scale := float64(n) * float64(n) / (float64(flatMax) * float64(flatMax))
-		return int(float64(baseMsgs) * scale), baseMS * scale, true, nil
+// flatBill is the flat A-LEADuni cost at one ring size.
+type flatBill struct {
+	msgs int     // messages per trial
+	ms   float64 // milliseconds per trial
+}
+
+// flatBills measures the flat bill at sizes up to max and projects it
+// beyond. The bill at max is measured at most once, so the row at max and
+// every projected row scale one timing.
+type flatBills struct {
+	max     int
+	measure func(n int) (flatBill, error)
+	atMax   *flatBill
+}
+
+// at returns the bill at size n and whether it is projected: above max, the
+// bill at max times (n/max)², since A-LEADuni circulates every secret
+// around the whole ring, n² data messages.
+func (f *flatBills) at(n int) (flatBill, bool, error) {
+	if n > f.max {
+		b, _, err := f.at(f.max)
+		scale := float64(n) * float64(n) / (float64(f.max) * float64(f.max))
+		return flatBill{msgs: int(float64(b.msgs) * scale), ms: b.ms * scale}, true, err
 	}
+	if n == f.max && f.atMax != nil {
+		return *f.atMax, false, nil
+	}
+	b, err := f.measure(n)
+	if err == nil && n == f.max {
+		f.atMax = &b
+	}
+	return b, false, err
+}
+
+// flatRun times flatTrials flat A-LEADuni trials at size n.
+func flatRun(n, flatTrials int, seed int64, workers int) (flatBill, error) {
 	start := time.Now()
 	dist, err := ring.TrialsOpts(context.Background(), ring.Spec{N: n, Protocol: alead.New(), Seed: seed},
 		flatTrials, ring.TrialOptions{Workers: workers})
 	if err != nil {
-		return 0, 0, false, err
+		return flatBill{}, err
 	}
 	elapsed := time.Since(start)
-	return dist.Messages / dist.Trials,
-		elapsed.Seconds() * 1000 / float64(dist.Trials), false, nil
+	return flatBill{msgs: dist.Messages / dist.Trials, ms: elapsed.Seconds() * 1000 / float64(dist.Trials)}, nil
 }
 
 // parseSizes parses the -sizes list.

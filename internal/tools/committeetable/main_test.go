@@ -1,6 +1,8 @@
 package main
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -34,5 +36,39 @@ func TestFlatTrialsWholeLaneBlocks(t *testing.T) {
 	}
 	if err := run([]string{"-flat-trials", "32", "-sizes", "4", "-trials", "1", "-flat-max", "4", "-workers", "1"}); err != nil {
 		t.Errorf("-flat-trials 32: %v", err)
+	}
+}
+
+// TestFlatProjectionScalesOneMeasurement checks the n² projection above
+// -flat-max: the size -flat-max is measured once, whether or not it has a
+// row of its own, and every projected row is that bill times (n/flat-max)².
+func TestFlatProjectionScalesOneMeasurement(t *testing.T) {
+	var measured []int
+	f := &flatBills{max: 10000, measure: func(n int) (flatBill, error) {
+		measured = append(measured, n)
+		return flatBill{msgs: n * n, ms: 213.36}, nil
+	}}
+	for _, tc := range []struct {
+		n         int
+		msgs      int
+		ms        float64
+		projected bool
+	}{
+		{1000, 1000000, 213.36, false},
+		{50000, 2500000000, 5334, true},
+		{10000, 100000000, 213.36, false},
+		{20000, 400000000, 853.44, true},
+	} {
+		b, projected, err := f.at(tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.msgs != tc.msgs || math.Abs(b.ms-tc.ms) > 1e-9 || projected != tc.projected {
+			t.Errorf("n=%d: %+v projected=%v, want {msgs:%d ms:%v} projected=%v",
+				tc.n, b, projected, tc.msgs, tc.ms, tc.projected)
+		}
+	}
+	if want := []int{1000, 10000}; !slices.Equal(measured, want) {
+		t.Errorf("measured sizes %v, want %v: -flat-max timed once", measured, want)
 	}
 }

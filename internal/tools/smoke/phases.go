@@ -79,13 +79,17 @@ func servicePhase(ctx context.Context, cfg config) error {
 		return fmt.Errorf("cache hit-rate %.3f < 0.8 (hits=%d misses=%d)", st.Cache.HitRate, st.Cache.Hits, st.Cache.Misses)
 	case st.Jobs.Fresh != int64(len(distinct)):
 		return fmt.Errorf("engine ran %d jobs for %d distinct requests", st.Jobs.Fresh, len(distinct))
+	case st.Fleet.ChunksCompleted < st.Jobs.Fresh:
+		// A single node runs every trial job through its chunk queue.
+		return fmt.Errorf("%d chunks completed for %d fresh jobs", st.Fleet.ChunksCompleted, st.Jobs.Fresh)
 	case st.Workers.ArenasAllocated == 0:
 		return fmt.Errorf("no persistent arenas allocated")
 	case st.Trials.Completed == 0:
 		return fmt.Errorf("stats report zero completed trials")
 	}
-	fmt.Printf("smoke: service: %d jobs (%d distinct), hit-rate %.2f, %d trials at %.0f/s, %d arenas\n", st.Jobs.Submitted,
-		st.Jobs.Fresh, st.Cache.HitRate, st.Trials.Completed, st.Trials.PerSecond, st.Workers.ArenasAllocated)
+	fmt.Printf("smoke: service: %d jobs (%d distinct) in %d chunks, hit-rate %.2f, %d trials at %.0f/s, %d arenas\n",
+		st.Jobs.Submitted, st.Jobs.Fresh, st.Fleet.ChunksCompleted, st.Cache.HitRate, st.Trials.Completed,
+		st.Trials.PerSecond, st.Workers.ArenasAllocated)
 	return nil
 }
 
