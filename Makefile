@@ -27,9 +27,8 @@ race:
 # (internal/, cmd/, examples/ and the root) must carry a package doc
 # comment, every exported identifier of the public root API must carry a
 # doc comment, and new exported root functions must take at most three
-# positional parameters (spec/options structs beyond that; deprecated
-# wrappers and //doccheck:allow-positional waivers exempt). CI runs this on
-# every push.
+# positional parameters (spec/options structs beyond that;
+# //doccheck:allow-positional waivers exempt). CI runs this on every push.
 docs-check:
 	$(GO) vet ./...
 	$(GO) run ./internal/tools/doccheck -pkgdoc . -apicheck . .

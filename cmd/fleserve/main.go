@@ -13,9 +13,9 @@
 // spec'd scenarios are served exactly like the built-in ones; the embedded
 // spec twins (ring/mar-basic-lead/*) are always present.
 //
-// Every node splits a trial job into -fleet-chunk trial chunks that its
-// own claimants run, and never runs more than -parallel engine runs (trial
-// chunks or certification sweeps) at once.
+// Every node that accepts jobs splits a trial job into -fleet-chunk trial
+// chunks that its own claimants run, and no node runs more than -parallel
+// engine runs (trial chunks or certification sweeps) at once.
 //
 // Roles:
 //

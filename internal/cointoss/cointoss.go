@@ -139,7 +139,7 @@ type Options struct {
 }
 
 // coinSink accumulates toss bits (smuggled through sim.Result.Output) into
-// per-worker CoinStats shards.
+// per-chunk CoinStats shards.
 var coinSink = engine.Sink[*CoinStats]{
 	New:   func() *CoinStats { return &CoinStats{} },
 	Add:   func(s *CoinStats, res sim.Result) { s.add(int(res.Output)) },

@@ -6,11 +6,12 @@ import (
 	"repro/internal/sim"
 )
 
-// ArenaPool hands engine workers recycled sim.Arena workspaces across Run
-// calls. Without a pool, every Run constructs one fresh arena per worker and
-// drops them all when the batch ends — fine for a one-shot CLI, wasteful for
-// a resident service that runs thousands of batches: each new batch rebuilds
-// networks, schedulers, and scratch buffers the previous batch just warmed.
+// ArenaPool hands engine workers recycled sim.Arena workspaces across
+// RunBatch calls. Without a pool, every RunBatch constructs one fresh arena
+// per worker and drops them all when the batch ends — fine for a one-shot
+// CLI, wasteful for a resident service that runs thousands of batches: each
+// new batch rebuilds networks, schedulers, and scratch buffers the previous
+// batch just warmed.
 // Sharing one pool across batches makes arena reuse span jobs, not just the
 // trials of one job.
 //

@@ -14,7 +14,7 @@ func TestArenaPoolRecyclesAcrossRuns(t *testing.T) {
 	sink := tallySink()
 	const workers = 3
 	for batch := 0; batch < 20; batch++ {
-		if _, err := Run(context.Background(), 200, job, sink,
+		if _, err := RunBatch(context.Background(), 200, job.chunks(), sink,
 			Options[*tally]{Workers: workers, Arenas: pool}); err != nil {
 			t.Fatal(err)
 		}
@@ -65,13 +65,13 @@ func TestNilArenaPoolFallsBack(t *testing.T) {
 func TestPooledRunMatchesUnpooled(t *testing.T) {
 	job := mixJob(97)
 	sink := tallySink()
-	want, err := Run(context.Background(), 1000, job, sink, Options[*tally]{Workers: 4})
+	want, err := RunBatch(context.Background(), 1000, job.chunks(), sink, Options[*tally]{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool := NewArenaPool()
 	for round := 0; round < 3; round++ {
-		got, err := Run(context.Background(), 1000, job, sink,
+		got, err := RunBatch(context.Background(), 1000, job.chunks(), sink,
 			Options[*tally]{Workers: 4, Arenas: pool})
 		if err != nil {
 			t.Fatal(err)
@@ -93,7 +93,7 @@ func TestObservePrefixesAreDeterministicAndComplete(t *testing.T) {
 	}
 	capture := func(workers int) []point {
 		var pts []point
-		_, err := Run(context.Background(), trials, job, sink, Options[*tally]{
+		_, err := RunBatch(context.Background(), trials, job.chunks(), sink, Options[*tally]{
 			Workers: workers,
 			Observe: func(prefix *tally, n int) {
 				pts = append(pts, point{trials: n, messages: prefix.messages})
@@ -131,7 +131,7 @@ func TestObserveComposesWithStop(t *testing.T) {
 	sink := tallySink()
 	var observed []int
 	stopAt := 0
-	got, err := Run(context.Background(), 10000, job, sink, Options[*tally]{
+	got, err := RunBatch(context.Background(), 10000, job.chunks(), sink, Options[*tally]{
 		Workers: 4,
 		Observe: func(_ *tally, n int) { observed = append(observed, n) },
 		Stop: func(_ *tally, n int) bool {

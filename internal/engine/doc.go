@@ -6,41 +6,43 @@
 //
 // # Design
 //
-//   - A Job runs one trial: it derives the trial's seed (via sim.Mix64 from
-//     a base seed), plans any per-trial deviation, executes on the worker's
-//     arena, and returns a sim.Result.
+//   - A ChunkJob runs a contiguous range of trials: it derives each
+//     trial's seed (via sim.Mix64 from a base seed), plans any per-trial
+//     deviation, executes on the worker's arena, and hands each sim.Result
+//     to the engine in trial order.
 //   - Trials are dispatched in fixed-size chunks claimed from a shared
 //     atomic cursor (dynamic work stealing of index ranges), so fast
 //     workers steal the load of slow ones without any per-trial locking.
-//   - Accumulation is sharded: every worker folds its results into a
-//     private shard (e.g. a ring.Distribution) supplied by a Sink; shards
-//     are merged once at the end. Because all shard operations are sums of
-//     counters, the merged value is independent of which worker ran which
-//     trial — for a fixed base seed the output is identical at any worker
-//     count. A regression test enforces this.
-//   - Every worker owns a sim.Arena, created when the worker starts and
-//     passed to each Trial call it claims. Jobs run their executions
-//     through the arena, so a batch of thousands of trials recycles a
+//   - Accumulation is per chunk: every chunk folds its results into a
+//     fresh shard (e.g. a ring.Distribution) supplied by a Sink, and the
+//     shards merge in chunk order as the frontier of completed chunks
+//     advances. Because all shard operations are sums of counters, the
+//     merged value is independent of which worker ran which chunk — for a
+//     fixed base seed the output is identical at any worker count. A
+//     regression test enforces this.
+//   - Every worker owns a sim.Arena, taken when the worker starts and
+//     passed to each chunk it claims. Jobs run their executions through
+//     the arena, so a batch of thousands of trials recycles a
 //     near-constant amount of simulation memory per worker instead of
 //     rebuilding networks, queues, and PRNGs per trial.
-//   - Optional adaptive early stopping evaluates a caller-supplied rule at
-//     deterministic chunk boundaries, in chunk order, so the stopping point
-//     is also independent of scheduling (see options.go).
-//   - The context cancels the whole batch between trials.
+//   - Optional adaptive early stopping and progress observation run at
+//     each frontier advance, on the merged prefix of chunks 0..i in chunk
+//     order, so the stopping point and every observed prefix are also
+//     independent of scheduling (see options.go).
+//   - The context cancels the whole batch between chunks.
 //
 // # Invariants
 //
-//   - Determinism: for a fixed job and base seed, Run's merged shard is
-//     identical at every worker count (including 1) and every chunk size;
+//   - Determinism: for a fixed job and base seed, RunBatch's merged shard
+//     is identical at every worker count (including 1) and every chunk size;
 //     with a Stop rule, the stopping point additionally depends on the
 //     chunk size but never on worker count or scheduling.
 //   - Jobs must derive all per-trial randomness from the trial index;
 //     sharing mutable state between trials breaks the determinism contract.
-//   - Arenas never cross worker boundaries: a Job's Trial receives the
-//     arena of exactly the goroutine invoking it, and the engine folds the
-//     returned Result into the worker's shard before the same arena runs
-//     the next trial, so Result memory recycled by the arena is never
-//     observed stale.
+//   - Arenas never cross worker boundaries: a chunk receives the arena of
+//     exactly the goroutine running it, and the engine folds each Result
+//     into the chunk's shard before the same arena runs the next trial, so
+//     Result memory recycled by the arena is never observed stale.
 //   - Errors are reported deterministically: the lowest-indexed failing
 //     trial wins, and the batch is abandoned without draining the
 //     remaining trials.

@@ -9,42 +9,27 @@ import (
 	"repro/internal/sim"
 )
 
-// Job produces one trial of a Monte-Carlo batch. Implementations must be
-// safe for concurrent use: Trial is called from multiple goroutines with
-// distinct trial indices. Determinism across worker counts requires that
-// the result depend only on the trial index (derive per-trial randomness
-// from it with sim.Mix64, never from shared mutable state).
-type Job interface {
-	// Trial runs the t-th trial (t in [0, trials)) and returns its outcome.
-	//
-	// arena is the calling worker's recycled simulation workspace: run the
-	// trial's execution through it (sim.Arena.Run, ring.RunArena, …) and
-	// the batch stays near-allocation-free. It is never shared between
-	// workers, may be nil, and jobs that do not build sim networks simply
-	// ignore it. The returned Result may alias arena memory — the engine
-	// folds it into the worker's shard before the next Trial call, and
-	// sinks must not retain the Result's slices.
-	Trial(t int, arena *sim.Arena) (sim.Result, error)
-}
-
-// JobFunc adapts a function to the Job interface.
-type JobFunc func(t int, arena *sim.Arena) (sim.Result, error)
-
-// Trial implements Job.
-func (f JobFunc) Trial(t int, arena *sim.Arena) (sim.Result, error) { return f(t, arena) }
-
-// ChunkJob produces trials a contiguous work-claim chunk at a time, the
-// batched form of Job: the engine hands a whole [start, end) range to one
-// worker so per-trial overheads — strategy-vector construction, scheduler
-// setup, bounds validation — amortize across the chunk. Implementations must
-// be safe for concurrent use on distinct ranges, and every per-trial result
-// must depend only on the trial index, exactly as for Job; the merged shard
-// is then identical for every worker count and chunk size.
+// ChunkJob produces the trials of a Monte-Carlo batch a contiguous
+// work-claim chunk at a time: the engine hands a whole [start, end) range
+// to one worker so per-trial overheads — strategy-vector construction,
+// scheduler setup, bounds validation — amortize across the chunk.
+// Implementations must be safe for concurrent use on distinct ranges.
+// Determinism across worker counts and chunk sizes requires that every
+// per-trial result depend only on the trial index (derive per-trial
+// randomness from it with sim.Mix64, never from shared mutable state).
 type ChunkJob interface {
 	// RunChunk runs trials [start, end) in ascending order on the worker's
 	// arena, calling add exactly once per completed trial, in trial order.
 	// On failure it returns the failing trial's index with the error;
 	// results added before the failure are discarded with the batch.
+	//
+	// arena is the calling worker's recycled simulation workspace: run the
+	// trials' executions through it (sim.Arena.Run, ring.RunArena, …) and
+	// the batch stays near-allocation-free. It is never shared between
+	// workers, and jobs that do not build sim networks simply ignore it.
+	// A Result passed to add may alias arena memory: the engine folds it
+	// into the chunk's shard before add returns, and sinks must not retain
+	// the Result's slices.
 	RunChunk(start, end int, arena *sim.Arena, add func(sim.Result)) (int, error)
 }
 
@@ -56,32 +41,18 @@ func (f ChunkFunc) RunChunk(start, end int, arena *sim.Arena, add func(sim.Resul
 	return f(start, end, arena, add)
 }
 
-// jobChunks lowers a per-trial Job onto the chunked interface.
-type jobChunks struct{ job Job }
-
-func (j jobChunks) RunChunk(start, end int, arena *sim.Arena, add func(sim.Result)) (int, error) {
-	for t := start; t < end; t++ {
-		res, err := j.job.Trial(t, arena)
-		if err != nil {
-			return t, err
-		}
-		add(res)
-	}
-	return 0, nil
-}
-
-// Sink tells the engine how to accumulate results into per-worker shards of
+// Sink tells the engine how to accumulate results into per-chunk shards of
 // type S and merge them. All three functions must be deterministic; Add and
 // Merge must commute (counter sums do), which is what makes the merged
-// result independent of trial scheduling.
+// result independent of the chunk size.
 type Sink[S any] struct {
 	// New allocates an empty shard.
 	New func() S
 	// Add folds one trial result into a shard. It is never called
 	// concurrently on the same shard.
 	Add func(S, sim.Result)
-	// Merge folds src into dst. Called single-threaded during the final
-	// (or frontier) merge.
+	// Merge folds src into dst. Called under the engine's merge lock, in
+	// chunk order.
 	Merge func(dst, src S)
 }
 
@@ -92,220 +63,98 @@ type trialError struct {
 	err   error
 }
 
-// Run executes trials jobs on opts.Workers workers and returns the merged
-// shard. For a fixed job and base seed the returned shard is identical for
-// every worker count, including 1 (sequential). On error, the batch is
-// abandoned and the lowest-indexed failure observed is returned (jobs whose
-// errors depend only on configuration, not the trial index — the common
-// case — therefore report deterministically); on context cancellation,
-// ctx.Err() is returned.
-func Run[S any](ctx context.Context, trials int, job Job, sink Sink[S], opts Options[S]) (S, error) {
-	return RunBatch(ctx, trials, jobChunks{job}, sink, opts)
-}
-
-// RunBatch is Run for chunked jobs: the unit of work claimed by a worker is
-// a whole contiguous trial range, so the job can thread batch state (a
-// reused strategy vector, a pre-validated configuration) through all trials
-// of the chunk. Cancellation is observed between chunks; a chunk in flight
-// runs to completion first.
+// RunBatch executes trials trials of job on opts.Workers workers and
+// returns the merged shard. Workers claim whole chunks of opts.Chunk
+// trials, each folded into its own shard, and the shards merge in chunk
+// order as a frontier of completed chunks advances. So the merged shard
+// is identical for every worker count, and the Stop rule and the Observe
+// hook see the same prefixes (chunks 0..i) whichever workers ran which
+// chunks. Chunks completed beyond a stopping point are discarded: wasted
+// work, never nondeterminism.
+//
+// On error, the batch is abandoned and the lowest-indexed failure observed
+// is returned (jobs whose errors depend only on configuration, not the
+// trial index — the common case — therefore report deterministically); on
+// context cancellation, ctx.Err() is returned. Cancellation is observed
+// between chunks; a chunk in flight runs to completion first.
 func RunBatch[S any](ctx context.Context, trials int, job ChunkJob, sink Sink[S], opts Options[S]) (S, error) {
 	merged := sink.New()
 	if trials <= 0 {
 		return merged, nil
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > trials {
-		workers = trials
-	}
 	chunk := opts.Chunk
 	if chunk <= 0 {
 		chunk = DefaultChunk
 	}
-	if opts.Stop != nil || opts.Observe != nil {
-		// Observers ride the same chunk-ordered frontier machinery as
-		// stopping rules: both need deterministic prefixes.
-		return runAdaptive(ctx, trials, chunk, workers, job, sink, opts, merged)
-	}
-	if workers == 1 {
-		// Sequential fast path: one shard, one arena, no goroutines.
-		arena := opts.Arenas.Get()
-		defer opts.Arenas.Put(arena)
-		add := func(res sim.Result) { sink.Add(merged, res) }
-		for start := 0; start < trials; start += chunk {
-			if err := ctx.Err(); err != nil {
-				var zero S
-				return zero, err
-			}
-			end := start + chunk
-			if end > trials {
-				end = trials
-			}
-			if _, err := job.RunChunk(start, end, arena, add); err != nil {
-				var zero S
-				return zero, err
-			}
-		}
-		return merged, nil
-	}
-
-	var (
-		cursor  atomic.Int64 // next chunk start
-		wg      sync.WaitGroup
-		shards  = make([]S, workers)
-		mu      sync.Mutex
-		firstER *trialError
-	)
-	fail := func(t int, err error) {
-		mu.Lock()
-		if firstER == nil || t < firstER.trial {
-			firstER = &trialError{trial: t, err: err}
-		}
-		mu.Unlock()
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstER != nil
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			shard := sink.New()
-			shards[w] = shard
-			add := func(res sim.Result) { sink.Add(shard, res) }
-			// Each worker owns one arena for the duration of the batch;
-			// trials claimed by this worker recycle its network, RNGs,
-			// and scratch buffers. With opts.Arenas the arena outlives
-			// the batch on the shared pool.
-			arena := opts.Arenas.Get()
-			defer opts.Arenas.Put(arena)
-			for {
-				start := int(cursor.Add(int64(chunk))) - chunk
-				if start >= trials {
-					return
-				}
-				end := start + chunk
-				if end > trials {
-					end = trials
-				}
-				if ctx.Err() != nil {
-					return
-				}
-				if t, err := job.RunChunk(start, end, arena, add); err != nil {
-					fail(t, err)
-					return
-				}
-				if failed() {
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		var zero S
-		return zero, err
-	}
-	if firstER != nil {
-		var zero S
-		return zero, firstER.err
-	}
-	for _, shard := range shards {
-		sink.Merge(merged, shard)
-	}
-	return merged, nil
-}
-
-// runAdaptive executes the batch with per-chunk shards and an in-order
-// frontier merge, so the early-stopping rule and the Observe hook both see
-// deterministic prefixes (chunks 0..i) regardless of which workers ran
-// which chunks. Chunks completed beyond the stopping point are discarded:
-// wasted work, never nondeterminism. With only an Observe hook (Stop nil)
-// the batch always runs to completion.
-func runAdaptive[S any](ctx context.Context, trials, chunk, workers int, job ChunkJob, sink Sink[S], opts Options[S], merged S) (S, error) {
 	numChunks := (trials + chunk - 1) / chunk
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	workers = min(workers, numChunks)
 	var (
 		cursor   atomic.Int64
 		stopAt   atomic.Int64 // first chunk index NOT to run; numChunks = no stop
 		wg       sync.WaitGroup
-		mu       sync.Mutex
+		mu       sync.Mutex // guards everything below, merged and the hooks
 		results  = make([]S, numChunks)
 		done     = make([]bool, numChunks)
 		frontier = 0 // chunks [0, frontier) merged into merged
-		stopped  = false
 		firstER  *trialError
 	)
 	stopAt.Store(int64(numChunks))
-	// advance merges consecutive completed chunks into the prefix and
-	// evaluates the stopping rule at each boundary, in chunk order.
-	advance := func() {
-		if firstER != nil {
-			return // batch abandoned; don't let a firing Stop rule resurrect stopAt
-		}
-		for frontier < numChunks && done[frontier] && !stopped {
-			if int64(frontier) >= stopAt.Load() {
-				break
+	work := func() {
+		// Each worker owns one arena for the duration of the batch, and
+		// one add closure that folds into the shard of its current chunk.
+		// With opts.Arenas the arena outlives the batch on the shared pool.
+		arena := opts.Arenas.Get()
+		defer opts.Arenas.Put(arena)
+		var shard S
+		add := func(res sim.Result) { sink.Add(shard, res) }
+		for {
+			c := int(cursor.Add(1)) - 1
+			if int64(c) >= stopAt.Load() || ctx.Err() != nil {
+				return
 			}
-			sink.Merge(merged, results[frontier])
-			var zero S
-			results[frontier] = zero // release
-			frontier++
-			prefixTrials := frontier * chunk
-			if prefixTrials > trials {
-				prefixTrials = trials
+			shard = sink.New()
+			t, err := job.RunChunk(c*chunk, min((c+1)*chunk, trials), arena, add)
+			mu.Lock()
+			if err != nil {
+				if firstER == nil || t < firstER.trial {
+					firstER = &trialError{trial: t, err: err}
+				}
+				stopAt.Store(0) // abandon the batch: no worker claims another chunk
+				mu.Unlock()
+				return
 			}
-			if opts.Observe != nil {
-				opts.Observe(merged, prefixTrials)
+			results[c], done[c] = shard, true
+			// Advance the frontier over consecutive completed chunks:
+			// merge each into the prefix and evaluate the hooks at its
+			// boundary, in chunk order.
+			for frontier < int(stopAt.Load()) && done[frontier] {
+				sink.Merge(merged, results[frontier])
+				var zero S
+				results[frontier] = zero // release
+				frontier++
+				prefix := min(frontier*chunk, trials)
+				if opts.Observe != nil {
+					opts.Observe(merged, prefix)
+				}
+				if opts.Stop != nil && opts.Stop(merged, prefix) {
+					stopAt.Store(int64(frontier))
+				}
 			}
-			if opts.Stop != nil && opts.Stop(merged, prefixTrials) {
-				stopped = true
-				stopAt.Store(int64(frontier))
-			}
+			mu.Unlock()
 		}
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			// Per-worker arena, exactly as in the non-adaptive path.
-			arena := opts.Arenas.Get()
-			defer opts.Arenas.Put(arena)
-			for {
-				c := int(cursor.Add(1)) - 1
-				if c >= numChunks || int64(c) >= stopAt.Load() {
-					return
-				}
-				shard := sink.New()
-				start, end := c*chunk, (c+1)*chunk
-				if end > trials {
-					end = trials
-				}
-				if ctx.Err() != nil {
-					return
-				}
-				add := func(res sim.Result) { sink.Add(shard, res) }
-				if t, err := job.RunChunk(start, end, arena, add); err != nil {
-					mu.Lock()
-					if firstER == nil || t < firstER.trial {
-						firstER = &trialError{trial: t, err: err}
-					}
-					mu.Unlock()
-					// Abandon the batch: stop every worker from claiming
-					// further chunks.
-					stopAt.Store(0)
-					return
-				}
-				mu.Lock()
-				results[c], done[c] = shard, true
-				advance()
-				mu.Unlock()
-			}
+			work()
 		}()
 	}
+	work() // the calling goroutine is worker 0
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		var zero S

@@ -40,10 +40,27 @@ func tallySink() Sink[*tally] {
 	}
 }
 
+// trialJob is a test job given one trial at a time.
+type trialJob func(t int, arena *sim.Arena) (sim.Result, error)
+
+// chunks lowers a per-trial test job onto the engine's chunked interface.
+func (f trialJob) chunks() ChunkFunc {
+	return func(start, end int, arena *sim.Arena, add func(sim.Result)) (int, error) {
+		for t := start; t < end; t++ {
+			res, err := f(t, arena)
+			if err != nil {
+				return t, err
+			}
+			add(res)
+		}
+		return 0, nil
+	}
+}
+
 // mixJob derives every trial's outcome purely from the trial index, like
 // every real job in the repository derives its seed via sim.Mix64.
-func mixJob(baseSeed uint64) Job {
-	return JobFunc(func(t int, _ *sim.Arena) (sim.Result, error) {
+func mixJob(baseSeed uint64) trialJob {
+	return trialJob(func(t int, _ *sim.Arena) (sim.Result, error) {
 		h := sim.Mix64(baseSeed, uint64(t))
 		res := sim.Result{Output: int64(h % 17), Delivered: int(h % 97)}
 		if h%13 == 0 {
@@ -55,12 +72,12 @@ func mixJob(baseSeed uint64) Job {
 
 // sequentialBaseline is the pre-engine trial loop, kept as the ground truth
 // the parallel runs must reproduce bit for bit.
-func sequentialBaseline(t *testing.T, job Job, trials int) *tally {
+func sequentialBaseline(t *testing.T, job trialJob, trials int) *tally {
 	t.Helper()
 	sink := tallySink()
 	acc := sink.New()
 	for i := 0; i < trials; i++ {
-		res, err := job.Trial(i, nil)
+		res, err := job(i, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +92,7 @@ func TestRunMatchesSequentialAtAnyWorkerCount(t *testing.T) {
 	want := sequentialBaseline(t, job, trials)
 	for _, workers := range []int{1, 2, 4, 8} {
 		for _, chunk := range []int{0, 1, 7, 1000} {
-			got, err := Run(context.Background(), trials, job, tallySink(),
+			got, err := RunBatch(context.Background(), trials, job.chunks(), tallySink(),
 				Options[*tally]{Workers: workers, Chunk: chunk})
 			if err != nil {
 				t.Fatalf("workers=%d chunk=%d: %v", workers, chunk, err)
@@ -89,7 +106,7 @@ func TestRunMatchesSequentialAtAnyWorkerCount(t *testing.T) {
 
 func TestRunZeroAndNegativeTrials(t *testing.T) {
 	for _, trials := range []int{0, -3} {
-		got, err := Run(context.Background(), trials, mixJob(1), tallySink(), Options[*tally]{})
+		got, err := RunBatch(context.Background(), trials, mixJob(1).chunks(), tallySink(), Options[*tally]{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,14 +118,14 @@ func TestRunZeroAndNegativeTrials(t *testing.T) {
 
 func TestRunPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
-	job := JobFunc(func(t int, _ *sim.Arena) (sim.Result, error) {
+	job := trialJob(func(t int, _ *sim.Arena) (sim.Result, error) {
 		if t == 37 {
 			return sim.Result{}, fmt.Errorf("trial %d: %w", t, boom)
 		}
 		return sim.Result{Output: 1}, nil
 	})
 	for _, workers := range []int{1, 4} {
-		_, err := Run(context.Background(), 100, job, tallySink(), Options[*tally]{Workers: workers})
+		_, err := RunBatch(context.Background(), 100, job.chunks(), tallySink(), Options[*tally]{Workers: workers})
 		if !errors.Is(err, boom) {
 			t.Errorf("workers=%d: err = %v, want wrapped boom", workers, err)
 		}
@@ -118,13 +135,13 @@ func TestRunPropagatesError(t *testing.T) {
 func TestRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	job := JobFunc(func(t int, _ *sim.Arena) (sim.Result, error) {
+	job := trialJob(func(t int, _ *sim.Arena) (sim.Result, error) {
 		if ran.Add(1) == 10 {
 			cancel()
 		}
 		return sim.Result{Output: 1}, nil
 	})
-	_, err := Run(ctx, 1_000_000, job, tallySink(), Options[*tally]{Workers: 4, Chunk: 4})
+	_, err := RunBatch(ctx, 1_000_000, job.chunks(), tallySink(), Options[*tally]{Workers: 4, Chunk: 4})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -141,7 +158,7 @@ func TestAdaptiveStopIsDeterministic(t *testing.T) {
 	}
 	var want *tally
 	for _, workers := range []int{1, 2, 4, 8} {
-		got, err := Run(context.Background(), trials, job, tallySink(),
+		got, err := RunBatch(context.Background(), trials, job.chunks(), tallySink(),
 			Options[*tally]{Workers: workers, Chunk: 64, Stop: stop})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -166,14 +183,14 @@ func TestAdaptiveStopIsDeterministic(t *testing.T) {
 func TestAdaptiveRunAbandonsBatchOnError(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int64
-	job := JobFunc(func(t int, _ *sim.Arena) (sim.Result, error) {
+	job := trialJob(func(t int, _ *sim.Arena) (sim.Result, error) {
 		ran.Add(1)
 		if t == 0 {
 			return sim.Result{}, boom
 		}
 		return sim.Result{Output: 1}, nil
 	})
-	_, err := Run(context.Background(), 1_000_000, job, tallySink(),
+	_, err := RunBatch(context.Background(), 1_000_000, job.chunks(), tallySink(),
 		Options[*tally]{Workers: 4, Chunk: 8, Stop: func(*tally, int) bool { return false }})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -189,7 +206,7 @@ func TestAdaptiveStopRunsToCompletionWhenRuleNeverFires(t *testing.T) {
 	const trials = 300
 	job := mixJob(3)
 	want := sequentialBaseline(t, job, trials)
-	got, err := Run(context.Background(), trials, job, tallySink(),
+	got, err := RunBatch(context.Background(), trials, job.chunks(), tallySink(),
 		Options[*tally]{Workers: 4, Chunk: 16, Stop: func(*tally, int) bool { return false }})
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,7 @@ package engine
 // latency low (a straggling worker holds at most one chunk).
 const DefaultChunk = 32
 
-// Options tunes one Run. The zero value runs on runtime.NumCPU() workers
+// Options tunes one RunBatch. The zero value runs on runtime.NumCPU() workers
 // with DefaultChunk trials per chunk and no early stopping.
 type Options[S any] struct {
 	// Workers is the number of concurrent workers; 0 picks
@@ -42,8 +42,8 @@ type Options[S any] struct {
 	// should be cheap: it runs under the engine's merge lock.
 	Observe func(prefix S, trials int)
 	// Arenas, if non-nil, supplies worker arenas from a shared pool
-	// instead of constructing fresh ones per Run, and returns them when
-	// the batch ends. A resident process that runs many batches points
+	// instead of constructing fresh ones per RunBatch, and returns them
+	// when the batch ends. A resident process that runs many batches points
 	// them all at one pool so per-worker simulation workspaces persist
 	// across jobs, not just across the trials of one job. Results are
 	// identical with or without a pool. Nil means no pooling: workers

@@ -15,7 +15,7 @@ import (
 // granularity and worker count.
 func TestRunRangePartitionReproducesFullBatch(t *testing.T) {
 	const trials = 500
-	job := jobChunks{mixJob(7)}
+	job := mixJob(7).chunks()
 	sink := tallySink()
 	want := sequentialBaseline(t, mixJob(7), trials)
 
@@ -47,13 +47,13 @@ func TestRunRangePartitionReproducesFullBatch(t *testing.T) {
 func TestRunRangeUsesLogicalTrialIndices(t *testing.T) {
 	var mu = make(chan struct{}, 1)
 	seen := map[int]int{}
-	job := JobFunc(func(tr int, _ *sim.Arena) (sim.Result, error) {
+	job := trialJob(func(tr int, _ *sim.Arena) (sim.Result, error) {
 		mu <- struct{}{}
 		seen[tr]++
 		<-mu
 		return sim.Result{Output: 1}, nil
 	})
-	if _, err := RunRange(context.Background(), 120, 200, jobChunks{job}, tallySink(),
+	if _, err := RunRange(context.Background(), 120, 200, job.chunks(), tallySink(),
 		Options[*tally]{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -73,13 +73,13 @@ func TestRunRangeUsesLogicalTrialIndices(t *testing.T) {
 // TestRunRangeRejectsInvalidRange pins the argument validation.
 func TestRunRangeRejectsInvalidRange(t *testing.T) {
 	for _, r := range [][2]int{{-1, 5}, {10, 3}} {
-		if _, err := RunRange(context.Background(), r[0], r[1], jobChunks{mixJob(1)}, tallySink(),
+		if _, err := RunRange(context.Background(), r[0], r[1], mixJob(1).chunks(), tallySink(),
 			Options[*tally]{}); err == nil {
 			t.Fatalf("range [%d, %d) accepted", r[0], r[1])
 		}
 	}
 	// An empty range is valid and returns the empty shard.
-	got, err := RunRange(context.Background(), 7, 7, jobChunks{mixJob(1)}, tallySink(), Options[*tally]{})
+	got, err := RunRange(context.Background(), 7, 7, mixJob(1).chunks(), tallySink(), Options[*tally]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +93,13 @@ func TestRunRangeRejectsInvalidRange(t *testing.T) {
 // holds across distributed shards too.
 func TestRunRangeReportsLogicalFailureIndex(t *testing.T) {
 	boom := errors.New("boom")
-	job := JobFunc(func(tr int, _ *sim.Arena) (sim.Result, error) {
+	job := trialJob(func(tr int, _ *sim.Arena) (sim.Result, error) {
 		if tr == 150 {
 			return sim.Result{}, boom
 		}
 		return sim.Result{Output: 1}, nil
 	})
-	_, err := RunRange(context.Background(), 100, 200, jobChunks{job}, tallySink(),
+	_, err := RunRange(context.Background(), 100, 200, job.chunks(), tallySink(),
 		Options[*tally]{Workers: 2})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the trial-150 failure", err)

@@ -50,7 +50,7 @@ func (d *Distribution) Add(res sim.Result) {
 
 // Merge folds another distribution over the same ring size into d. Merging
 // is commutative and associative (every field is a counter sum), which is
-// what lets the trial engine accumulate into per-worker shards and still
+// what lets the trial engine accumulate into per-chunk shards and still
 // produce results identical to a sequential run.
 func (d *Distribution) Merge(o *Distribution) error {
 	if o == nil {
@@ -150,7 +150,7 @@ func (o TrialOptions) engineOptions() engine.Options[*Distribution] {
 	return opts
 }
 
-// distSink is the engine sink accumulating into per-worker Distributions.
+// distSink is the engine sink accumulating into per-chunk Distributions.
 func distSink(n int) engine.Sink[*Distribution] {
 	return engine.Sink[*Distribution]{
 		New: func() *Distribution { return NewDistribution(n) },

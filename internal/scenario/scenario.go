@@ -346,7 +346,7 @@ func (s Scenario) outcome(dist *ring.Distribution, p params) *Outcome {
 // engine batch built here reproduce a ring.TrialsOpts batch bit-for-bit.
 func trialSeed(base int64, t int) int64 { return ring.TrialSeed(base, t) }
 
-// distSink accumulates engine results into per-worker distributions.
+// distSink accumulates engine results into per-chunk distributions.
 func distSink(n int) engine.Sink[*ring.Distribution] {
 	return engine.Sink[*ring.Distribution]{
 		New: func() *ring.Distribution { return ring.NewDistribution(n) },

@@ -39,9 +39,12 @@
 // A node runs in one of three roles. A coordinator is a single node that
 // also leases its chunks to workers at /chunks/*, so results are
 // byte-identical to a single node at any fleet size. A worker owns no
-// jobs and only claims chunks from the coordinator it joined. An idle
-// worker's claim waits on the coordinator, in the same queue as the
-// coordinator's own claimants, until a chunk is queued.
+// jobs, starts no local claimants and only claims chunks from the
+// coordinator it joined. An idle worker's claim waits on the coordinator,
+// in the same queue as the coordinator's own claimants, until a chunk is
+// queued. A local claimant takes an engine slot before it takes a chunk,
+// so a chunk queued while every slot of its node is busy goes to an idle
+// worker instead of waiting there.
 //
 // The HTTP surface is GET /scenarios; POST /jobs and POST /certify
 // (batches); GET and DELETE /jobs/{id} and /certify/{id}, where GET with

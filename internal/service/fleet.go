@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,10 +11,11 @@ import (
 	"repro/internal/scenario"
 )
 
-// Node roles. Every node splits its trial jobs into chunks that its own
-// local claimants run. A single node keeps them to itself; a coordinator
-// also leases them to workers over HTTP; a worker owns no jobs and only
-// claims chunks from the coordinator it joined.
+// Node roles. Every node that owns jobs splits its trial jobs into chunks
+// that its own local claimants run. A single node keeps them to itself; a
+// coordinator also leases them to workers over HTTP; a worker owns no
+// jobs, runs no local claimants and only claims chunks from the
+// coordinator it joined.
 const (
 	RoleSingle      = "single"
 	RoleCoordinator = "coordinator"
@@ -124,7 +124,7 @@ type fleet struct {
 	queue     []*fleetChunk
 	leased    map[int64]*fleetChunk
 	nextLease int64
-	waiting   int // claims parked on wake
+	waiting   int // claimants parked on wake
 
 	enqueued  atomic.Int64 // chunks created
 	completed atomic.Int64 // chunk results folded in
@@ -134,8 +134,9 @@ type fleet struct {
 
 // newFleet builds the node's chunk exchange and starts its goroutines:
 // one janitor that reclaims expired leases even when no claim traffic
-// arrives, and cfg.Parallel local claimants, which drain every job on a
-// node with no workers.
+// arrives and, on a node that owns jobs, cfg.Parallel local claimants,
+// which drain every job on a node with no workers. A worker enqueues
+// nothing, so it starts none.
 func newFleet(s *Scheduler) *fleet {
 	f := &fleet{
 		s:         s,
@@ -152,6 +153,9 @@ func newFleet(s *Scheduler) *fleet {
 	}
 	s.wg.Add(1)
 	go f.janitor()
+	if s.cfg.Role == RoleWorker {
+		return f
+	}
 	for i := 0; i < s.cfg.Parallel; i++ {
 		s.wg.Add(1)
 		go f.localClaimant()
@@ -235,39 +239,46 @@ func (f *fleet) reclaimExpiredLocked() {
 	}
 }
 
-// popLocked removes and returns the next live queued chunk, discarding
-// chunks whose task has died. Callers hold f.mu.
-func (f *fleet) popLocked() *fleetChunk {
-	for len(f.queue) > 0 {
-		c := f.queue[0]
+// liveLocked drops the chunks of dead tasks from the head of the queue
+// and reports whether a live chunk remains. Callers hold f.mu.
+func (f *fleet) liveLocked() bool {
+	for len(f.queue) > 0 && f.queue[0].task.aborted {
 		f.queue[0] = nil
 		f.queue = f.queue[1:]
-		if c.task.aborted {
-			continue
-		}
-		return c
 	}
-	return nil
+	return len(f.queue) > 0
 }
 
-// claim is the one claim path of local and HTTP claimants: it reclaims
-// expired leases and takes the next queued chunk off the queue. With none
-// queued it waits until a chunk is queued, the scheduler closes or ctx
-// ends, returning nil in the last two cases; a ctx that has already ended
-// makes it a single non-blocking look at the queue. A local claimant runs
-// the chunk without a lease: it lives and dies with its node, so nothing
-// could outlive it to re-issue the chunk.
-func (f *fleet) claim(ctx context.Context) *fleetChunk {
+// popLocked removes and returns the next live queued chunk, or nil when
+// none is queued. Callers hold f.mu.
+func (f *fleet) popLocked() *fleetChunk {
+	if !f.liveLocked() {
+		return nil
+	}
+	c := f.queue[0]
+	f.queue[0] = nil
+	f.queue = f.queue[1:]
+	return c
+}
+
+// wait is the one parking path of local and HTTP claimants: it reclaims
+// expired leases and reports whether a live chunk is queued, without
+// taking it. With none queued it waits until a chunk is queued, the
+// scheduler closes or ctx ends, reporting false in the last two cases; a
+// ctx that has already ended makes it a single non-blocking look at the
+// queue. A local claimant takes the chunk only once it holds an engine
+// slot, so a chunk does not wait behind a busy node while a worker idles.
+func (f *fleet) wait(ctx context.Context) bool {
 	closing := f.s.baseCtx
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for closing.Err() == nil {
 		f.reclaimExpiredLocked()
-		if c := f.popLocked(); c != nil {
-			return c
+		if f.liveLocked() {
+			return true
 		}
 		if ctx.Err() != nil {
-			return nil
+			return false
 		}
 		wake := f.wake
 		f.waiting++
@@ -280,44 +291,45 @@ func (f *fleet) claim(ctx context.Context) *fleetChunk {
 		f.mu.Lock()
 		f.waiting--
 	}
-	return nil
+	return false
 }
 
 // claimRemote leases one chunk to an HTTP claimant, waiting up to wait
 // for one to be queued, or returns nil when none came. ctx is the
-// claimant's request: a chunk that arrives just as the claimant hangs up
-// goes back to the front of the queue unleased, instead of sitting idle
-// for a full TTL under a lease nobody holds. A granted lease starts its
-// job.
+// claimant's request: a claimant that has hung up takes no chunk, so none
+// sits idle for a full TTL under a lease nobody holds. A granted lease
+// starts its job.
 func (f *fleet) claimRemote(ctx context.Context, wait time.Duration) *ChunkLease {
 	waitCtx, cancel := context.WithTimeout(ctx, wait)
 	defer cancel()
-	c := f.claim(waitCtx)
-	if c == nil {
-		return nil
-	}
-	f.mu.Lock()
-	if ctx.Err() != nil {
-		f.queue = slices.Insert(f.queue, 0, c)
-		f.wakeLocked()
+	for f.wait(waitCtx) {
+		f.mu.Lock()
+		if ctx.Err() != nil {
+			f.mu.Unlock()
+			return nil
+		}
+		c := f.popLocked()
+		if c == nil {
+			f.mu.Unlock()
+			continue // another claimant took it first
+		}
+		f.nextLease++
+		c.lease = f.nextLease
+		c.expires = time.Now().Add(f.ttl)
+		f.leased[c.lease] = c
+		lease := &ChunkLease{
+			Lease:    c.lease,
+			Job:      c.task.job.Req,
+			Start:    c.start,
+			End:      c.end,
+			TTLMilli: f.ttl.Milliseconds(),
+		}
 		f.mu.Unlock()
-		return nil
+		f.remote.Add(1)
+		c.task.job.start()
+		return lease
 	}
-	f.nextLease++
-	c.lease = f.nextLease
-	c.expires = time.Now().Add(f.ttl)
-	f.leased[c.lease] = c
-	lease := &ChunkLease{
-		Lease:    c.lease,
-		Job:      c.task.job.Req,
-		Start:    c.start,
-		End:      c.end,
-		TTLMilli: f.ttl.Milliseconds(),
-	}
-	f.mu.Unlock()
-	f.remote.Add(1)
-	c.task.job.start()
-	return lease
+	return nil
 }
 
 // heartbeat extends a live lease by one TTL. It reports false when the
@@ -420,31 +432,35 @@ func (f *fleet) failTaskLocked(t *fleetTask, err error) {
 	close(t.done)
 }
 
-// localClaimant is the node's in-process claim loop: claim, run, fold.
-// It shares the scheduler's arena pool and worker count with every other
-// engine run on the node.
+// localClaimant is the node's in-process claim loop: wait for a queued
+// chunk, take an engine slot, then pop a chunk, run and fold it. Taking
+// the slot before the chunk leaves the chunk on the queue for an idle
+// worker while every slot here is busy. It shares the scheduler's arena
+// pool and worker count with every other engine run on the node.
 func (f *fleet) localClaimant() {
 	defer f.s.wg.Done()
-	for {
-		c := f.claim(f.s.baseCtx)
-		if c == nil {
+	ctx := f.s.baseCtx
+	for f.wait(ctx) {
+		release, err := f.s.slot(ctx)
+		if err != nil {
 			return
 		}
-		f.runLocal(c)
+		f.mu.Lock()
+		c := f.popLocked()
+		f.mu.Unlock()
+		if c != nil {
+			f.runLocal(c)
+		}
+		release()
 	}
 }
 
-// runLocal runs one claimed chunk in-process on an engine slot; a chunk
-// whose job ends while it waits for the slot is dropped. The chunk that
-// starts at trial 0 streams the engine's prefix snapshots as the job's
-// progress, so a job of one chunk still reports progress before it ends.
+// runLocal runs one popped chunk in-process on the caller's engine slot.
+// The chunk that starts at trial 0 streams the engine's prefix snapshots
+// as the job's progress, so a job of one chunk still reports progress
+// before it ends.
 func (f *fleet) runLocal(c *fleetChunk) {
 	j := c.task.job
-	release, err := f.s.slot(j.ctx)
-	if err != nil {
-		return
-	}
-	defer release()
 	j.start()
 	o := c.task.opts
 	o.Workers = f.s.cfg.Workers

@@ -73,15 +73,21 @@ func waitClaimsWaiting(t *testing.T, srv *Server, n int) {
 // holdLocalClaimant submits blocker, a job of one long chunk, and waits
 // until the coordinator's single local claimant runs it, so the chunks of
 // the next job have no local taker until the blocker is canceled. It
-// returns the blocker's id.
+// returns the blocker's id. The claimant takes its slot before the chunk,
+// so a busy slot alone does not show that the chunk left the queue; the
+// job turns running only once it has.
 func holdLocalClaimant(t *testing.T, srv *Server, client *Client, blocker JobRequest) string {
 	t.Helper()
 	states, err := client.Submit(context.Background(), []JobRequest{blocker})
 	if err != nil {
 		t.Fatal(err)
 	}
+	j, ok := srv.Scheduler().Job(states[0].ID)
+	if !ok {
+		t.Fatal("blocking job not registered")
+	}
 	waitUntil(t, "the local claimant never picked up the blocking job", func() bool {
-		return srv.Scheduler().Stats().Workers.Busy > 0
+		return j.State().Status == StatusRunning
 	})
 	return states[0].ID
 }
@@ -537,11 +543,10 @@ func TestFleetCloseEndsWaitingClaims(t *testing.T) {
 	}
 }
 
-// TestFleetClaimContext pins the claim path's context handling below
-// HTTP: a claim whose context has ended takes a look at the queue and
-// returns, a parked claim returns when its context ends, and a chunk won
-// for a claimant that has hung up goes back to the front of the queue
-// unleased.
+// TestFleetClaimContext pins the parking path's context handling below
+// HTTP: a wait whose context has ended takes a look at the queue and
+// returns, a parked wait returns when its context ends, a wait that finds
+// a chunk leaves it queued, and a claimant that has hung up takes no chunk.
 func TestFleetClaimContext(t *testing.T) {
 	f := &fleet{
 		s:   &Scheduler{baseCtx: context.Background()},
@@ -549,13 +554,13 @@ func TestFleetClaimContext(t *testing.T) {
 	}
 	ended, cancel := context.WithCancel(context.Background())
 	cancel()
-	if c := f.claim(ended); c != nil {
-		t.Fatalf("claim on an empty queue returned chunk %+v", c)
+	if f.wait(ended) {
+		t.Fatal("wait on an empty queue reported a chunk")
 	}
 	short, cancelShort := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancelShort()
-	if c := f.claim(short); c != nil {
-		t.Fatalf("parked claim returned chunk %+v", c)
+	if f.wait(short) {
+		t.Fatal("parked wait reported a chunk")
 	}
 	if f.waiting != 0 {
 		t.Fatalf("%d claims still counted as waiting after their context ended", f.waiting)
@@ -565,6 +570,12 @@ func TestFleetClaimContext(t *testing.T) {
 	first := &fleetChunk{task: task, index: 0, start: 0, end: 10}
 	second := &fleetChunk{task: task, index: 1, start: 10, end: 20}
 	f.queue = []*fleetChunk{first, second}
+	if !f.wait(ended) {
+		t.Fatal("wait on a queued chunk reported none")
+	}
+	if len(f.queue) != 2 || f.queue[0] != first {
+		t.Fatal("wait took a chunk off the queue")
+	}
 	if lease := f.claimRemote(ended, claimWait); lease != nil {
 		t.Fatalf("a claimant that hung up was leased %+v", lease)
 	}
@@ -572,11 +583,74 @@ func TestFleetClaimContext(t *testing.T) {
 		t.Fatalf("a claimant that hung up left %d leases behind", len(f.leased))
 	}
 	if len(f.queue) != 2 || f.queue[0] != first {
-		t.Fatal("the chunk won for a claimant that hung up is not back at the front of the queue")
+		t.Fatal("a claimant that hung up took a chunk off the queue")
 	}
 	lease := f.claimRemote(context.Background(), 0)
 	if lease == nil || lease.Start != 0 || lease.End != 10 || len(f.leased) != 1 {
 		t.Fatalf("claim without wait = %+v with %d leases, want the first chunk leased", lease, len(f.leased))
+	}
+}
+
+// TestLocalClaimantTakesSlotBeforeChunk pins that a chunk never waits
+// behind a busy node while another node idles: on a coordinator whose one
+// engine slot runs a certification sweep, a trial job queued there runs
+// on a worker that joins while the sweep is still running.
+func TestLocalClaimantTakesSlotBeforeChunk(t *testing.T) {
+	coord, client := newTestServer(t, Config{Version: "fleet-slot", Role: RoleCoordinator, Parallel: 1})
+	sched := coord.Scheduler()
+	ctx := context.Background()
+	sweep := CertRequest{Scenario: "ring/a-lead/fifo", N: 256, Trials: 20000, MinTrials: 20000, Seed: 5}
+	certs, err := client.SubmitCerts(ctx, []CertRequest{sweep})
+	if err != nil {
+		t.Fatalf("submit sweep: %v", err)
+	}
+	cert, _ := sched.Cert(certs[0].ID)
+	t.Cleanup(func() { sched.CancelCert(cert.ID) })
+	waitUntil(t, "the sweep never started", func() bool { return cert.State().Status == StatusRunning })
+	jobs, err := client.Submit(ctx, []JobRequest{quickJob})
+	if err != nil {
+		t.Fatalf("submit job: %v", err)
+	}
+	job, _ := sched.Job(jobs[0].ID)
+
+	w, err := New(Config{Version: "fleet-slot", Role: RoleWorker, Join: client.BaseURL(), Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	select {
+	case <-job.Done():
+	case <-cert.Done():
+		t.Fatal("the sweep ended before the trial job queued beside it finished")
+	case <-time.After(10 * time.Second):
+		t.Fatal("the trial job waited behind the sweep with an idle worker beside it")
+	}
+	if st := job.State(); st.Status != StatusDone {
+		t.Fatalf("job ended %s: %s", st.Status, st.Error)
+	}
+	if status := cert.State().Status; status != StatusRunning {
+		t.Fatalf("the sweep is %s; the job must finish while it runs", status)
+	}
+	if remote := sched.Stats().Fleet.RemoteClaims; remote != 1 {
+		t.Fatalf("%d remote claims, want the job's one chunk claimed by the worker", remote)
+	}
+}
+
+// TestIdleWorkerParksNoLocalClaims pins that a worker starts no local
+// claimants: it enqueues nothing, so its /statz reads no claim waiting
+// on its own queue while its claim loops are parked on the coordinator.
+func TestIdleWorkerParksNoLocalClaims(t *testing.T) {
+	coord, coordClient := newTestServer(t, Config{Version: "fleet-idle", Role: RoleCoordinator})
+	_, workerClient := newTestServer(t, Config{
+		Version: "fleet-idle", Role: RoleWorker, Join: coordClient.BaseURL(), Parallel: 3,
+	})
+	waitClaimsWaiting(t, coord, 4) // the coordinator's local claimant and the worker's 3 loops
+	st, err := workerClient.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Fleet.ClaimsWaiting != 0 {
+		t.Fatalf("an idle worker reports %d claims waiting on its own queue, want 0", st.Fleet.ClaimsWaiting)
 	}
 }
 

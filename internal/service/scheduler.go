@@ -79,7 +79,9 @@ type Config struct {
 	// picks 2. Every engine run holds one of Parallel slots for its whole
 	// duration: a trial chunk a local claimant runs, a chunk a worker
 	// leased, and a certification sweep. Further work queues. It is also
-	// the number of local claimants, and on a worker of claim loops.
+	// the number of local claimants on a node that owns jobs, and on a
+	// worker the number of claim loops; a worker starts no local
+	// claimants.
 	Parallel int
 	// CacheBytes is the in-memory result cache's byte budget; 0 picks
 	// DefaultCacheBytes. Each finished result is charged its length plus a

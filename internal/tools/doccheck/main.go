@@ -9,11 +9,8 @@
 //   - every exported top-level function in the directories passed via
 //     -apicheck must take at most three positional parameters (a leading
 //     context.Context is free), so new root entry points grow spec/options
-//     structs instead of positional tails. Functions whose doc comment
-//     carries a "Deprecated:" paragraph are exempt (the legacy wrappers
-//     being migrated away from are the rule's reason to exist), and a
-//     //doccheck:allow-positional directive in the doc comment grants an
-//     explicit waiver.
+//     structs instead of positional tails. A //doccheck:allow-positional
+//     directive in the doc comment grants an explicit waiver.
 //
 // Usage:
 //
@@ -210,10 +207,8 @@ const maxPositional = 3
 
 // checkPositionalParams reports every exported free-standing function with
 // more than maxPositional parameters, not counting a leading
-// context.Context. "Deprecated:" doc comments are exempt — the rule exists
-// to stop the next positional API, not to force-break the wrappers being
-// migrated away from — and //doccheck:allow-positional in the doc comment
-// is an explicit reviewed waiver.
+// context.Context. //doccheck:allow-positional in the doc comment is an
+// explicit reviewed waiver.
 func checkPositionalParams(dir string, report func(token.Position, string, ...any)) error {
 	fset, files, err := parseDir(dir)
 	if err != nil {
@@ -225,12 +220,12 @@ func checkPositionalParams(dir string, report func(token.Position, string, ...an
 			if !ok || d.Recv != nil || !d.Name.IsExported() {
 				continue
 			}
-			if isDeprecated(d.Doc) || hasDirective(d.Doc, "doccheck:allow-positional") {
+			if hasDirective(d.Doc, "doccheck:allow-positional") {
 				continue
 			}
 			if n := positionalParams(d.Type); n > maxPositional {
 				report(fset.Position(d.Pos()),
-					"exported function %s takes %d positional parameters (max %d): use a spec/options struct, mark it Deprecated:, or add //doccheck:allow-positional",
+					"exported function %s takes %d positional parameters (max %d): use a spec/options struct, or add //doccheck:allow-positional",
 					d.Name.Name, n, maxPositional)
 			}
 		}
@@ -267,12 +262,6 @@ func isContextContext(t ast.Expr) bool {
 	}
 	id, ok := sel.X.(*ast.Ident)
 	return ok && id.Name == "context"
-}
-
-// isDeprecated reports whether a doc comment carries a standard
-// "Deprecated:" paragraph.
-func isDeprecated(doc *ast.CommentGroup) bool {
-	return doc != nil && strings.Contains(doc.Text(), "Deprecated:")
 }
 
 // hasDirective reports whether a doc comment contains the given //-directive

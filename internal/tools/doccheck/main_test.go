@@ -84,6 +84,33 @@ var Loose = 3
 	}
 }
 
+func TestCheckPositionalParams(t *testing.T) {
+	for _, tc := range []struct {
+		name, decl string
+		fail       bool
+	}{
+		{"four parameters", "// F is wide.\nfunc F(a, b int, c string, d bool) {}", true},
+		{"three parameters", "// F fits.\nfunc F(a, b int, c string) {}", false},
+		{"leading context is free", "// F fits.\nfunc F(ctx context.Context, a, b int, c string) {}", false},
+		{"context elsewhere counts", "// F is wide.\nfunc F(a, b int, c string, ctx context.Context) {}", true},
+		{"waiver", "// F is waived.\n//\n//doccheck:allow-positional\nfunc F(a, b int, c string, d bool) {}", false},
+		{"unexported", "func f(a, b int, c string, d bool) {}", false},
+		{"method", "// T is a type.\ntype T struct{}\n\n// M is a method.\nfunc (T) M(a, b int, c string, d bool) {}", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			write(t, dir, "api.go", "// Package api is documented.\npackage api\n\nimport \"context\"\n\nvar _ context.Context\n\n"+tc.decl+"\n")
+			var failures []string
+			if err := checkPositionalParams(dir, collect(&failures)); err != nil {
+				t.Fatal(err)
+			}
+			if got := len(failures) > 0; got != tc.fail {
+				t.Fatalf("failures %v, want failure %v", failures, tc.fail)
+			}
+		})
+	}
+}
+
 func TestRepositoryPassesItsOwnFloor(t *testing.T) {
 	// The repo root is three levels up; the floor this tool enforces in CI
 	// must hold for the tree the test runs in.
@@ -96,6 +123,9 @@ func TestRepositoryPassesItsOwnFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := checkExportedDocs(root, collect(&failures)); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkPositionalParams(root, collect(&failures)); err != nil {
 		t.Fatal(err)
 	}
 	if len(failures) != 0 {
