@@ -29,15 +29,10 @@ const (
 	TossFail = -1
 )
 
-// Toss runs one coin-toss instance: elect with the given spec, output the
-// leader's low bit (leaders 1..n map to 0,1,0,1,…). Returns TossFail if the
-// election fails.
-func Toss(spec ring.Spec) (int, error) {
-	return TossArena(spec, nil)
-}
-
-// TossArena is Toss on a recycled per-worker simulation arena (nil falls
-// back to fresh allocations with an identical result).
+// TossArena runs one coin-toss instance on a recycled per-worker
+// simulation arena (nil falls back to fresh allocations with an identical
+// result): elect with the given spec, output the leader's low bit (leaders
+// 1..n map to 0,1,0,1,…). Returns TossFail if the election fails.
 func TossArena(spec ring.Spec, arena *sim.Arena) (int, error) {
 	res, err := ring.RunArena(spec, arena)
 	if err != nil {
@@ -134,8 +129,6 @@ func (s *CoinStats) merge(o *CoinStats) {
 type Options struct {
 	// Workers is the engine worker count; 0 picks runtime.NumCPU().
 	Workers int
-	// Chunk is the engine chunk size; 0 picks engine.DefaultChunk.
-	Chunk int
 }
 
 // coinSink accumulates toss bits (smuggled through sim.Result.Output) into
@@ -165,7 +158,7 @@ func TrialsOpts(ctx context.Context, toss Tosser, trials int, opts Options) (Coi
 		return 0, nil
 	})
 	s, err := engine.RunBatch(ctx, trials, job, coinSink,
-		engine.Options[*CoinStats]{Workers: opts.Workers, Chunk: opts.Chunk})
+		engine.Options[*CoinStats]{Workers: opts.Workers})
 	if err != nil || s == nil {
 		return CoinStats{}, err
 	}
@@ -229,11 +222,6 @@ func ElectTrialsOpts(ctx context.Context, n int, mkTosser func(trial int) Tosser
 		}
 		return 0, nil
 	})
-	sink := engine.Sink[*ring.Distribution]{
-		New:   func() *ring.Distribution { return ring.NewDistribution(n) },
-		Add:   func(d *ring.Distribution, res sim.Result) { d.Add(res) },
-		Merge: func(dst, src *ring.Distribution) { _ = dst.Merge(src) },
-	}
-	return engine.RunBatch(ctx, trials, job, sink,
-		engine.Options[*ring.Distribution]{Workers: opts.Workers, Chunk: opts.Chunk})
+	return engine.RunBatch(ctx, trials, job, ring.DistSink(n),
+		engine.Options[*ring.Distribution]{Workers: opts.Workers})
 }

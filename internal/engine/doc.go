@@ -10,16 +10,18 @@
 //     trial's seed (via sim.Mix64 from a base seed), plans any per-trial
 //     deviation, executes on the worker's arena, and hands each sim.Result
 //     to the engine in trial order.
-//   - Trials are dispatched in fixed-size chunks claimed from a shared
-//     atomic cursor (dynamic work stealing of index ranges), so fast
-//     workers steal the load of slow ones without any per-trial locking.
+//   - One in-order pool, InOrder, runs every batch and every
+//     certification sweep: lanes claim indices in order from a shared
+//     atomic cursor, and results fold in index order under one lock. A
+//     batch's items are fixed-size chunks of trials (dynamic work stealing
+//     of index ranges, no per-trial locking); a sweep's are candidates.
 //   - Accumulation is per chunk: every chunk folds its results into a
 //     fresh shard (e.g. a ring.Distribution) supplied by a Sink, and the
-//     shards merge in chunk order as the frontier of completed chunks
-//     advances. Because all shard operations are sums of counters, the
-//     merged value is independent of which worker ran which chunk — for a
-//     fixed base seed the output is identical at any worker count. A
-//     regression test enforces this.
+//     shards merge in chunk order at the pool's frontier. Because all
+//     shard operations are sums of counters, the merged value is
+//     independent of which worker ran which chunk — for a fixed base seed
+//     the output is identical at any worker count. A regression test
+//     enforces this.
 //   - Every worker owns a sim.Arena, taken when the worker starts and
 //     passed to each chunk it claims. Jobs run their executions through
 //     the arena, so a batch of thousands of trials recycles a
@@ -43,7 +45,8 @@
 //     exactly the goroutine running it, and the engine folds each Result
 //     into the chunk's shard before the same arena runs the next trial, so
 //     Result memory recycled by the arena is never observed stale.
-//   - Errors are reported deterministically: the lowest-indexed failing
-//     trial wins, and the batch is abandoned without draining the
-//     remaining trials.
+//   - Errors follow the sequential rule: a batch returns what a one-worker
+//     run returns. A failing chunk ends the batch once every earlier chunk
+//     has merged, unless the Stop rule fired first; no chunk past a known
+//     failure is claimed, so the rest of the batch is never drained.
 package engine

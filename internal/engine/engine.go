@@ -20,8 +20,9 @@ import (
 type ChunkJob interface {
 	// RunChunk runs trials [start, end) in ascending order on the worker's
 	// arena, calling add exactly once per completed trial, in trial order.
-	// On failure it returns the failing trial's index with the error;
-	// results added before the failure are discarded with the batch.
+	// On failure it returns the error (the engine ignores the int, by
+	// convention the failing trial's index); results added before the
+	// failure are discarded with the batch.
 	//
 	// arena is the calling worker's recycled simulation workspace: run the
 	// trials' executions through it (sim.Arena.Run, ring.RunArena, …) and
@@ -56,27 +57,15 @@ type Sink[S any] struct {
 	Merge func(dst, src S)
 }
 
-// trialError is an error annotated with the index of the trial that raised
-// it, so the engine can report the lowest-indexed failure deterministically.
-type trialError struct {
-	trial int
-	err   error
-}
-
 // RunBatch executes trials trials of job on opts.Workers workers and
-// returns the merged shard. Workers claim whole chunks of opts.Chunk
-// trials, each folded into its own shard, and the shards merge in chunk
-// order as a frontier of completed chunks advances. So the merged shard
-// is identical for every worker count, and the Stop rule and the Observe
-// hook see the same prefixes (chunks 0..i) whichever workers ran which
-// chunks. Chunks completed beyond a stopping point are discarded: wasted
-// work, never nondeterminism.
-//
-// On error, the batch is abandoned and the lowest-indexed failure observed
-// is returned (jobs whose errors depend only on configuration, not the
-// trial index — the common case — therefore report deterministically); on
-// context cancellation, ctx.Err() is returned. Cancellation is observed
-// between chunks; a chunk in flight runs to completion first.
+// returns the merged shard. It is InOrder over the batch's chunks of
+// opts.Chunk trials: each chunk folds into its own shard, and the shards
+// merge in chunk order. So the merged shard is identical for every worker
+// count, and the Stop rule and the Observe hook see the same prefixes
+// (chunks 0..i) whichever workers ran which chunks. Chunks completed
+// beyond a stopping point are discarded, failures included. Errors and
+// cancellation follow InOrder: the result is what a sequential run
+// returns. Cancellation is observed between chunks.
 func RunBatch[S any](ctx context.Context, trials int, job ChunkJob, sink Sink[S], opts Options[S]) (S, error) {
 	merged := sink.New()
 	if trials <= 0 {
@@ -86,83 +75,127 @@ func RunBatch[S any](ctx context.Context, trials int, job ChunkJob, sink Sink[S]
 	if chunk <= 0 {
 		chunk = DefaultChunk
 	}
-	numChunks := (trials + chunk - 1) / chunk
-	workers := opts.Workers
+	// Each lane owns one arena for the duration of the batch, and one add
+	// closure that folds into the shard of its current chunk. With
+	// opts.Arenas the arena outlives the batch on the shared pool.
+	var arenas []*sim.Arena
+	defer func() {
+		for _, a := range arenas {
+			opts.Arenas.Put(a)
+		}
+	}()
+	lane := func(int) func(context.Context, int) (S, error) {
+		arena := opts.Arenas.Get()
+		arenas = append(arenas, arena)
+		var shard S
+		add := func(res sim.Result) { sink.Add(shard, res) }
+		return func(_ context.Context, c int) (S, error) {
+			shard = sink.New()
+			_, err := job.RunChunk(c*chunk, min((c+1)*chunk, trials), arena, add)
+			return shard, err
+		}
+	}
+	fold := func(c int, shard S) bool {
+		sink.Merge(merged, shard)
+		prefix := min((c+1)*chunk, trials)
+		if opts.Observe != nil {
+			opts.Observe(merged, prefix)
+		}
+		return opts.Stop != nil && opts.Stop(merged, prefix)
+	}
+	if err := InOrder(ctx, (trials+chunk-1)/chunk, opts.Workers, lane, fold); err != nil {
+		var zero S
+		return zero, err
+	}
+	return merged, nil
+}
+
+// outcome is one finished InOrder item, parked until the frontier folds it.
+type outcome[T any] struct {
+	v     T
+	err   error
+	ready bool
+}
+
+// InOrder runs items 0..m-1 on up to workers lanes (0 picks
+// runtime.NumCPU()) and folds their results in index order: the one ordered
+// pool behind every engine batch and every certification sweep. run(lane)
+// is called once per lane, on the calling goroutine before any lane starts,
+// and returns the function that lane runs its items with. Lanes claim
+// indices in ascending order, and the calling goroutine is lane 0, so a
+// one-lane call starts no goroutine. fold(i, v) runs once items 0..i have
+// all finished, under one lock; returning true stops the call after item i.
+//
+// The result is what a sequential loop returns. A stop or an item's error
+// ends the call when the frontier of folded items reaches it, so items past
+// a stop are discarded, failures included. After ctx is canceled nothing
+// more is folded and ctx.Err() is returned. The context handed to items is
+// canceled once the outcome is known, so items in flight past it can give
+// up early; InOrder returns only after every lane has.
+func InOrder[T any](ctx context.Context, m, workers int,
+	run func(lane int) func(ctx context.Context, i int) (T, error),
+	fold func(i int, v T) (stop bool)) error {
+	if m <= 0 {
+		return nil
+	}
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	workers = min(workers, numChunks)
+	lanes := make([]func(context.Context, int) (T, error), min(workers, m))
+	for l := range lanes {
+		lanes[l] = run(l)
+	}
+	itemCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	var (
-		cursor   atomic.Int64
-		stopAt   atomic.Int64 // first chunk index NOT to run; numChunks = no stop
+		next     atomic.Int64 // next unclaimed index
+		end      atomic.Int64 // lanes claim no index at or past end
 		wg       sync.WaitGroup
-		mu       sync.Mutex // guards everything below, merged and the hooks
-		results  = make([]S, numChunks)
-		done     = make([]bool, numChunks)
-		frontier = 0 // chunks [0, frontier) merged into merged
-		firstER  *trialError
+		mu       sync.Mutex // guards everything below and every fold call
+		got      = make([]outcome[T], m)
+		frontier = 0     // items [0, frontier) folded
+		finished = false // the frontier reached the last item, a stop or a failure
+		err      error   // the failure the frontier reached
 	)
-	stopAt.Store(int64(numChunks))
-	work := func() {
-		// Each worker owns one arena for the duration of the batch, and
-		// one add closure that folds into the shard of its current chunk.
-		// With opts.Arenas the arena outlives the batch on the shared pool.
-		arena := opts.Arenas.Get()
-		defer opts.Arenas.Put(arena)
-		var shard S
-		add := func(res sim.Result) { sink.Add(shard, res) }
+	end.Store(int64(m))
+	work := func(item func(context.Context, int) (T, error)) {
 		for {
-			c := int(cursor.Add(1)) - 1
-			if int64(c) >= stopAt.Load() || ctx.Err() != nil {
+			i := int(next.Add(1)) - 1
+			if int64(i) >= end.Load() || ctx.Err() != nil {
 				return
 			}
-			shard = sink.New()
-			t, err := job.RunChunk(c*chunk, min((c+1)*chunk, trials), arena, add)
+			v, e := item(itemCtx, i)
 			mu.Lock()
-			if err != nil {
-				if firstER == nil || t < firstER.trial {
-					firstER = &trialError{trial: t, err: err}
-				}
-				stopAt.Store(0) // abandon the batch: no worker claims another chunk
-				mu.Unlock()
-				return
+			got[i] = outcome[T]{v, e, true}
+			if e != nil && int64(i) < end.Load() {
+				// Indices are claimed in order, so every unclaimed item
+				// lies past this failure: none of them can be folded.
+				end.Store(int64(i) + 1)
 			}
-			results[c], done[c] = shard, true
-			// Advance the frontier over consecutive completed chunks:
-			// merge each into the prefix and evaluate the hooks at its
-			// boundary, in chunk order.
-			for frontier < int(stopAt.Load()) && done[frontier] {
-				sink.Merge(merged, results[frontier])
-				var zero S
-				results[frontier] = zero // release
+			for !finished && got[frontier].ready && ctx.Err() == nil {
+				err = got[frontier].err
+				finished = err != nil || fold(frontier, got[frontier].v) || frontier == m-1
+				got[frontier] = outcome[T]{} // release
 				frontier++
-				prefix := min(frontier*chunk, trials)
-				if opts.Observe != nil {
-					opts.Observe(merged, prefix)
-				}
-				if opts.Stop != nil && opts.Stop(merged, prefix) {
-					stopAt.Store(int64(frontier))
-				}
+			}
+			if finished {
+				end.Store(0)
+				cancel()
 			}
 			mu.Unlock()
 		}
 	}
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
+	wg.Add(len(lanes) - 1)
+	for _, item := range lanes[1:] {
 		go func() {
 			defer wg.Done()
-			work()
+			work(item)
 		}()
 	}
-	work() // the calling goroutine is worker 0
+	work(lanes[0])
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		var zero S
-		return zero, err
+	if !finished {
+		return ctx.Err()
 	}
-	if firstER != nil {
-		var zero S
-		return zero, firstER.err
-	}
-	return merged, nil
+	return err
 }

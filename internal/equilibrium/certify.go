@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/ring"
@@ -84,8 +82,8 @@ type Options struct {
 	// (the service daemon's resident mode).
 	Arenas *engine.ArenaPool
 	// Progress, if non-nil, reports each finished candidate in enumeration
-	// order — once it and every earlier candidate have finished — on the
-	// calling goroutine, never two calls at once: a deterministic sequence
+	// order — once it and every earlier candidate have finished — under
+	// the sweep pool's lock, one call at a time: a deterministic sequence
 	// for a fixed seed, at any worker count.
 	Progress func(Progress)
 }
@@ -364,21 +362,17 @@ func Certify(ctx context.Context, sc scenario.Scenario, seed int64, o Options) (
 }
 
 // runInOrder runs a sweep's m candidates — measure(ctx, i, w) runs
-// candidate i on w engine workers — on up to workers concurrent lanes (0
-// picks runtime.NumCPU()), and hands the results to report in enumeration
-// order: report(i, ·) runs on the calling goroutine once candidates 0..i
-// have all finished, so calls never overlap. With at least as many
-// candidates as workers every lane is a single-worker batch; fewer
-// candidates split the workers among them, so a one-candidate sweep runs
-// on all of them.
+// candidate i on w engine workers — on engine.InOrder with a budget of
+// workers (0 picks runtime.NumCPU()), and hands the results to report in
+// enumeration order, one call at a time. With at least as many candidates
+// as workers every lane is a single-worker batch; fewer candidates split
+// the workers among them, so a one-candidate sweep runs on all of them.
 //
 // Scheduling cannot move a byte: a candidate's stopping point depends only
-// on its chunk-ordered prefixes, whatever its worker count (a single worker
-// never claims a chunk past its own stopping point, so none is discarded),
-// and the fold happens in enumeration order. A candidate error ends the
-// sweep with the lowest-index failure, after reporting every candidate
-// before it — exactly what a sequential sweep returns — and cancellation
-// returns ctx.Err(). Either way no lane outlives the call.
+// on its chunk-ordered prefixes, whatever its worker count, and the fold
+// happens in enumeration order. A candidate error ends the sweep with the
+// lowest-index failure, after reporting every candidate before it —
+// exactly what a sequential sweep returns.
 func runInOrder(ctx context.Context, m, workers int,
 	measure func(ctx context.Context, i, workers int) (CandidateResult, error),
 	report func(i int, res CandidateResult)) error {
@@ -386,65 +380,17 @@ func runInOrder(ctx context.Context, m, workers int,
 		workers = runtime.NumCPU()
 	}
 	lanes := min(workers, m)
-	type outcome struct {
-		i   int
-		res CandidateResult
-		err error
-	}
-	laneCtx, cancel := context.WithCancel(ctx)
-	var (
-		wg     sync.WaitGroup
-		next   atomic.Int64            // next unclaimed candidate
-		failed atomic.Bool             // some candidate failed: claim no more
-		done   = make(chan outcome, m) // buffered: a lane never blocks on it
-	)
-	defer func() {
-		cancel()
-		wg.Wait()
-	}()
-	for l := 0; l < lanes; l++ {
+	lane := func(l int) func(context.Context, int) (CandidateResult, error) {
 		w := workers / lanes
 		if l < workers%lanes {
 			w++
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for laneCtx.Err() == nil && !failed.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= m {
-					return
-				}
-				res, err := measure(laneCtx, i, w)
-				if err != nil {
-					// Candidates are claimed in index order, so every
-					// unclaimed one lies past this failure: none of them
-					// can be reported any more.
-					failed.Store(true)
-				}
-				done <- outcome{i, res, err}
-			}
-		}()
+		return func(ctx context.Context, i int) (CandidateResult, error) { return measure(ctx, i, w) }
 	}
-	got := make([]*outcome, m)
-	for frontier := 0; frontier < m; {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case out := <-done:
-			got[out.i] = &out
-		}
-		for ; frontier < m && got[frontier] != nil; frontier++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := got[frontier].err; err != nil {
-				return err
-			}
-			report(frontier, got[frontier].res)
-		}
-	}
-	return nil
+	return engine.InOrder(ctx, m, workers, lane, func(i int, res CandidateResult) bool {
+		report(i, res)
+		return false
+	})
 }
 
 // winCell picks the measured cell of a candidate's distribution: the forced

@@ -60,11 +60,6 @@ type Config struct {
 	Workers int
 }
 
-// trialOpts lowers the config onto the ring trial engine.
-func (cfg Config) trialOpts() ring.TrialOptions {
-	return ring.TrialOptions{Workers: cfg.Workers}
-}
-
 // coinOpts lowers the config onto the cointoss trial engine.
 func (cfg Config) coinOpts() cointoss.Options {
 	return cointoss.Options{Workers: cfg.Workers}

@@ -189,3 +189,45 @@ func TestTrialsCancellation(t *testing.T) {
 		t.Fatal("cancelled context did not abort the batch")
 	}
 }
+
+// TestValidateShard pins the invariants a shard from outside the process
+// must keep before it is merged: built by Add, a distribution passes, and
+// each way a claimant's result can be malformed fails.
+func TestValidateShard(t *testing.T) {
+	good := randomDistribution(8, 5, 40)
+	if err := good.Validate(8, 40); err != nil {
+		t.Fatalf("a distribution built by Add fails: %v", err)
+	}
+	mutate := func(f func(d *Distribution)) *Distribution {
+		d := randomDistribution(8, 5, 40)
+		f(d)
+		return d
+	}
+	for _, tc := range []struct {
+		name string
+		d    *Distribution
+	}{
+		{"nil", nil},
+		{"empty", NewDistribution(8)},
+		{"other ring size", randomDistribution(9, 5, 40)},
+		{"short counts", mutate(func(d *Distribution) { d.Counts = d.Counts[:2] })},
+		{"wins for leader 0", mutate(func(d *Distribution) { d.Counts[0]++; d.Counts[1]-- })},
+		{"negative count", mutate(func(d *Distribution) { d.Counts[1]--; d.Counts[2] += 2; d.FailCounts[0]-- })},
+		{"negative messages", mutate(func(d *Distribution) { d.Messages = -1 })},
+		{"counts short of trials", mutate(func(d *Distribution) { d.Counts[1]-- })},
+		{"counts past trials", mutate(func(d *Distribution) { d.Counts[1]++ })},
+		{"trials off", mutate(func(d *Distribution) { d.Trials++ })},
+	} {
+		if err := tc.d.Validate(8, 40); err == nil {
+			t.Errorf("%s: Validate accepted a malformed shard", tc.name)
+		}
+	}
+	// Counters that wrap around to the trial count still fail.
+	wrap := NewDistribution(3)
+	wrap.Trials = 40
+	wrap.Counts[1], wrap.Counts[2], wrap.Counts[3] = 1<<62, 1<<62, 40
+	wrap.FailCounts[0], wrap.FailCounts[1] = 1<<62, 1<<62
+	if err := wrap.Validate(3, 40); err == nil {
+		t.Error("Validate accepted counts that overflow to the trial count")
+	}
+}

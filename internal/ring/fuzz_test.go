@@ -1,6 +1,9 @@
 package ring
 
-import "testing"
+import (
+	"encoding/json"
+	"testing"
+)
 
 // FuzzRingArith checks the residue-alphabet invariants every ring protocol
 // builds on: Mod lands in [0, n) for any input (including negatives and the
@@ -44,6 +47,37 @@ func FuzzRingArith(f *testing.F) {
 		}
 		if SumForLeader(leader, n) != m {
 			t.Fatalf("SumForLeader(LeaderFromSum(%d)) = %d, want the residue %d", v, SumForLeader(leader, n), m)
+		}
+	})
+}
+
+// FuzzDistributionValidate decodes arbitrary bytes as a chunk shard, the
+// way a fleet coordinator decodes a worker's result. Whatever Validate
+// accepts must merge into an n-distribution without panicking and leave
+// one whose outcome counts sum to exactly the shard's trials.
+func FuzzDistributionValidate(f *testing.F) {
+	valid, _ := json.Marshal(randomDistribution(8, 3, 40))
+	f.Add(valid, uint8(6), uint16(40))
+	f.Add([]byte(`{}`), uint8(6), uint16(40))
+	f.Add([]byte(`{"N":8,"Trials":0,"Counts":[0,0,0,0,0,0,0,0,0]}`), uint8(6), uint16(40))
+	f.Add([]byte(`{"N":8,"Trials":40,"Counts":[0,40]}`), uint8(6), uint16(40))
+	f.Add([]byte(`{"N":8,"Trials":40,"Counts":[0,-1,41,0,0,0,0,0,0]}`), uint8(6), uint16(40))
+	f.Fuzz(func(t *testing.T, data []byte, rawN uint8, rawTrials uint16) {
+		n, trials := int(rawN)%64+2, int(rawTrials)
+		var shard Distribution
+		if json.Unmarshal(data, &shard) != nil || shard.Validate(n, trials) != nil {
+			return
+		}
+		d := NewDistribution(n)
+		if err := d.Merge(&shard); err != nil {
+			t.Fatalf("accepted shard does not merge: %v", err)
+		}
+		sum := d.Failures()
+		for _, c := range d.Counts {
+			sum += c
+		}
+		if d.Trials != trials || sum != trials {
+			t.Fatalf("merged %d trials with outcome counts summing to %d, want %d", d.Trials, sum, trials)
 		}
 	})
 }

@@ -121,19 +121,9 @@ func Run(spec Spec) (sim.Result, error) {
 // memory; it is invalidated by the arena's next run (sim.Result.Clone copies
 // it out).
 func RunArena(spec Spec, arena *sim.Arena) (sim.Result, error) {
-	if spec.N < 2 {
-		return sim.Result{}, fmt.Errorf("ring: need n ≥ 2, got %d", spec.N)
-	}
-	if spec.Protocol == nil {
-		return sim.Result{}, errors.New("ring: nil protocol")
-	}
-	strategies, err := spec.Protocol.Strategies(spec.N)
+	strategies, err := honestStrategies(spec)
 	if err != nil {
-		return sim.Result{}, fmt.Errorf("ring: %s strategies: %w", spec.Protocol.Name(), err)
-	}
-	if len(strategies) != spec.N {
-		return sim.Result{}, fmt.Errorf("ring: protocol %s returned %d strategies for n=%d",
-			spec.Protocol.Name(), len(strategies), spec.N)
+		return sim.Result{}, err
 	}
 	if err := spec.Deviation.Validate(spec.N); err != nil {
 		return sim.Result{}, err

@@ -70,6 +70,43 @@ func (d *Distribution) Merge(o *Distribution) error {
 	return nil
 }
 
+// Validate reports whether d is a distribution of exactly trials trials on a
+// ring of size n, as Add and Merge build one: n+1 leader counts with none
+// for leader 0, no negative counter, and leader and failure counts that sum
+// to Trials. A shard that arrives from outside the process (a fleet
+// worker's chunk result) must pass it before it is merged.
+func (d *Distribution) Validate(n, trials int) error {
+	switch {
+	case d == nil:
+		return errors.New("ring: no distribution")
+	case d.N != n:
+		return fmt.Errorf("ring: distribution for n=%d, want n=%d", d.N, n)
+	case len(d.Counts) != n+1:
+		return fmt.Errorf("ring: %d leader counts for n=%d, want %d", len(d.Counts), n, n+1)
+	case d.Counts[0] != 0:
+		return fmt.Errorf("ring: %d wins for leader 0", d.Counts[0])
+	case d.Trials != trials:
+		return fmt.Errorf("ring: distribution of %d trials, want %d", d.Trials, trials)
+	case d.Messages < 0:
+		return fmt.Errorf("ring: negative message count %d", d.Messages)
+	}
+	// Every count must fit in what is left of the trials, so the sum can
+	// never overflow into a false match.
+	left := trials
+	for _, counts := range [][]int{d.Counts, d.FailCounts[:]} {
+		for _, c := range counts {
+			if c < 0 || c > left {
+				return fmt.Errorf("ring: outcome count %d out of range for %d trials", c, trials)
+			}
+			left -= c
+		}
+	}
+	if left != 0 {
+		return fmt.Errorf("ring: outcome counts sum to %d, want %d trials", trials-left, trials)
+	}
+	return nil
+}
+
 // Failures returns the total number of failed trials.
 func (d *Distribution) Failures() int {
 	total := 0
@@ -119,8 +156,6 @@ func (d *Distribution) String() string {
 type TrialOptions struct {
 	// Workers is the worker count; 0 picks runtime.NumCPU().
 	Workers int
-	// Chunk is the engine chunk size; 0 picks engine.DefaultChunk.
-	Chunk int
 	// Stop, if non-nil, halts the batch early once the rule returns true
 	// on a deterministic prefix of the distribution (see engine.Options).
 	Stop func(prefix *Distribution) bool
@@ -139,7 +174,6 @@ type TrialOptions struct {
 func (o TrialOptions) engineOptions() engine.Options[*Distribution] {
 	opts := engine.Options[*Distribution]{
 		Workers: o.Workers,
-		Chunk:   o.Chunk,
 		Observe: o.Progress,
 		Arenas:  o.Arenas,
 	}
@@ -150,8 +184,10 @@ func (o TrialOptions) engineOptions() engine.Options[*Distribution] {
 	return opts
 }
 
-// distSink is the engine sink accumulating into per-chunk Distributions.
-func distSink(n int) engine.Sink[*Distribution] {
+// DistSink is the engine sink accumulating trial results into per-chunk
+// Distributions of ring size n: every batch that aggregates a leader
+// distribution (ring, scenario and cointoss alike) folds through it.
+func DistSink(n int) engine.Sink[*Distribution] {
 	return engine.Sink[*Distribution]{
 		New: func() *Distribution { return NewDistribution(n) },
 		Add: func(d *Distribution, res sim.Result) { d.Add(res) },
@@ -265,8 +301,8 @@ func HonestChunkJob(spec Spec, schedFor SchedulerFor) engine.ChunkJob {
 	})
 }
 
-// honestStrategies validates the spec and builds its honest strategy vector,
-// with exactly RunArena's checks and error texts.
+// honestStrategies validates the spec and builds its honest strategy vector:
+// the checks RunArena and the batched chunk path share.
 func honestStrategies(spec Spec) ([]sim.Strategy, error) {
 	if spec.N < 2 {
 		return nil, fmt.Errorf("ring: need n ≥ 2, got %d", spec.N)
@@ -311,7 +347,7 @@ func TrialsOpts(ctx context.Context, spec Spec, trials int, opts TrialOptions) (
 	if spec.Scheduler != nil || spec.Tracer != nil || spec.Deviation != nil {
 		opts.Workers = 1
 	}
-	return engine.RunBatch(ctx, trials, HonestChunkJob(spec, nil), distSink(spec.N), opts.engineOptions())
+	return engine.RunBatch(ctx, trials, HonestChunkJob(spec, nil), DistSink(spec.N), opts.engineOptions())
 }
 
 // PlanError marks a per-trial attack planning failure inside a trial
@@ -361,7 +397,7 @@ type AttackSpec struct {
 // options yield the same distribution for a fixed spec.
 func RunAttackTrials(ctx context.Context, spec AttackSpec, trials int, opts TrialOptions) (*Distribution, error) {
 	job := AttackChunkJob(spec.N, spec.Protocol, spec.Attack, spec.Target, spec.Seed)
-	return engine.RunBatch(ctx, trials, job, distSink(spec.N), opts.engineOptions())
+	return engine.RunBatch(ctx, trials, job, DistSink(spec.N), opts.engineOptions())
 }
 
 // AttackChunkJob returns the batched engine job behind RunAttackTrials:

@@ -119,7 +119,7 @@ func completeChunks(attack bool) chunksFunc {
 					runner = e.Runner()
 				}
 				for t := start; t < end; t++ {
-					res, err := runner.Run(trialSeed(seed, t), nil, arena)
+					res, err := runner.Run(ring.TrialSeed(seed, t), nil, arena)
 					if err != nil {
 						return t, err
 					}
@@ -155,7 +155,7 @@ func committeeChunks(inner string, attack bool) chunksFunc {
 					runner = e.Runner()
 				}
 				for t := start; t < end; t++ {
-					res, err := runner.Run(trialSeed(seed, t))
+					res, err := runner.Run(ring.TrialSeed(seed, t))
 					if err != nil {
 						return t, err
 					}
@@ -184,7 +184,7 @@ func treeChunks(build func(n int) (*simgraph.Graph, error), rootAt func(n int) i
 			func(start, end int, arena *sim.Arena, add func(sim.Result)) (int, error) {
 				runner := proto.Runner(adversary, p.Target)
 				for t := start; t < end; t++ {
-					ts := trialSeed(seed, t)
+					ts := ring.TrialSeed(seed, t)
 					sc, err := newScheduler(sched, ts, arena)
 					if err != nil {
 						return t, err
@@ -214,7 +214,7 @@ func syncCompleteChunks() chunksFunc {
 		return engine.ChunkFunc(
 			func(start, end int, _ *sim.Arena, add func(sim.Result)) (int, error) {
 				for t := start; t < end; t++ {
-					procs, err := syncnet.NewCompleteElection(p.N, k, trialSeed(seed, t))
+					procs, err := syncnet.NewCompleteElection(p.N, k, ring.TrialSeed(seed, t))
 					if err != nil {
 						return t, err
 					}
@@ -236,7 +236,7 @@ func syncRingChunks(tamper bool) chunksFunc {
 		return engine.ChunkFunc(
 			func(start, end int, _ *sim.Arena, add func(sim.Result)) (int, error) {
 				for t := start; t < end; t++ {
-					ts := trialSeed(seed, t)
+					ts := ring.TrialSeed(seed, t)
 					procs := make([]syncnet.Processor, p.N)
 					for i := 1; i <= p.N; i++ {
 						proc := syncnet.NewRingSyncLead(p.N, sim.ProcID(i), ts)

@@ -3,6 +3,7 @@ package scenario
 import (
 	"repro/internal/engine"
 	"repro/internal/popproto"
+	"repro/internal/ring"
 	"repro/internal/sim"
 )
 
@@ -31,7 +32,7 @@ func popprotoChunks(attack bool) chunksFunc {
 					return start, err
 				}
 				for t := start; t < end; t++ {
-					add(runner.Run(trialSeed(seed, t)))
+					add(runner.Run(ring.TrialSeed(seed, t)))
 				}
 				return 0, nil
 			}), nil

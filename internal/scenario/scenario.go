@@ -291,7 +291,7 @@ func (s Scenario) RunShard(ctx context.Context, seed int64, o Opts, start, end i
 	if start == 0 {
 		eo.Observe = p.observe
 	}
-	dist, err := engine.RunRange(ctx, start, end, job, distSink(p.N), eo)
+	dist, err := engine.RunRange(ctx, start, end, job, ring.DistSink(p.N), eo)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %s: %w", s.Name, err)
 	}
@@ -342,20 +342,6 @@ func (s Scenario) outcome(dist *ring.Distribution, p params) *Outcome {
 	return out
 }
 
-// trialSeed is ring.TrialSeed: the shared derivation is what makes an
-// engine batch built here reproduce a ring.TrialsOpts batch bit-for-bit.
-func trialSeed(base int64, t int) int64 { return ring.TrialSeed(base, t) }
-
-// distSink accumulates engine results into per-chunk distributions.
-func distSink(n int) engine.Sink[*ring.Distribution] {
-	return engine.Sink[*ring.Distribution]{
-		New: func() *ring.Distribution { return ring.NewDistribution(n) },
-		Add: func(d *ring.Distribution, res sim.Result) { d.Add(res) },
-		// Merge cannot fail: every shard is built for the same n.
-		Merge: func(dst, src *ring.Distribution) { _ = dst.Merge(src) },
-	}
-}
-
 // batch runs the scenario's chunked job for one resolved configuration on
 // the engine. Every batch takes this path, so the batch a single node runs
 // and the one a coordinator decomposes into remote shards (RunShard) are
@@ -371,7 +357,7 @@ func (s Scenario) batch(ctx context.Context, seed int64, p params) (*ring.Distri
 // engineBatch runs a chunked job on the parallel engine, lowering the
 // resolved params onto engine options.
 func engineBatch(ctx context.Context, p params, job engine.ChunkJob) (*ring.Distribution, error) {
-	return engine.RunBatch(ctx, p.Trials, job, distSink(p.N),
+	return engine.RunBatch(ctx, p.Trials, job, ring.DistSink(p.N),
 		engine.Options[*ring.Distribution]{Workers: p.Workers, Stop: p.stop, Observe: p.observe, Arenas: p.arenas})
 }
 

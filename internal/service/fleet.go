@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -347,23 +348,47 @@ func (f *fleet) heartbeat(lease int64) bool {
 }
 
 // report resolves a lease with its shard result or error. Unknown leases
-// (expired and re-issued, canceled jobs) report false and the result is
-// dropped — the lease table is what makes re-issued chunks merge exactly
-// once.
-func (f *fleet) report(lease int64, dist *ring.Distribution, errMsg string) bool {
+// (expired and re-issued, canceled jobs) report held false and the result
+// is dropped — the lease table is what makes re-issued chunks merge exactly
+// once. A malformed result (see check) is never merged: it fails the job
+// with an error naming the chunk, which report also returns.
+func (f *fleet) report(lease int64, dist *ring.Distribution, errMsg string) (held bool, bad error) {
 	f.mu.Lock()
 	c, ok := f.leased[lease]
 	delete(f.leased, lease)
 	f.mu.Unlock()
 	if !ok {
-		return false
+		return false, nil
 	}
-	var err error
-	if errMsg != "" {
+	bad = c.check(dist, errMsg)
+	err := bad
+	if err == nil && errMsg != "" {
 		err = errors.New(errMsg)
 	}
 	f.fold(c, dist, err)
-	return true
+	return true, bad
+}
+
+// check vets a claimant's result for the chunk before it is folded: it
+// carries either a shard or an error, and a shard is a distribution of
+// exactly the chunk's trials on the job's ring size
+// (ring.Distribution.Validate). A shard that fails it would fold wrong
+// bytes into a cached result, or panic in Merge under f.mu.
+func (c *fleetChunk) check(dist *ring.Distribution, errMsg string) error {
+	var err error
+	switch {
+	case dist == nil && errMsg == "":
+		err = errors.New("result carries neither a shard nor an error")
+	case dist != nil && errMsg != "":
+		err = errors.New("result carries both a shard and an error")
+	case dist != nil:
+		// merged.N is set when the task is built and never written again.
+		err = dist.Validate(c.task.merged.N, c.end-c.start)
+	}
+	if err != nil {
+		return fmt.Errorf("chunk %d, trials [%d, %d): malformed result: %w", c.index, c.start, c.end, err)
+	}
+	return nil
 }
 
 // fold merges one finished chunk's shard into its task, or fails the

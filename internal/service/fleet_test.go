@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ring"
 	"repro/internal/scenario"
 )
 
@@ -453,6 +454,96 @@ func TestFleetChunkErrorFailsWholeJob(t *testing.T) {
 	}
 	if !strings.Contains(final.Error, "arena caught fire") {
 		t.Fatalf("job error %q does not carry the chunk's message", final.Error)
+	}
+}
+
+// TestFleetRejectsMalformedShards leases one 320-trial chunk of an n = 8,
+// 640-trial job and reports a malformed result for it, one body per case.
+// Each must get a 400 and fail the job with an error naming the chunk,
+// never hang it, fold wrong bytes into it or wedge the coordinator:
+// /statz must still answer afterwards. Every wait is bounded, so a
+// coordinator that wedges fails the test instead of hanging it.
+func TestFleetRejectsMalformedShards(t *testing.T) {
+	n9 := ring.NewDistribution(9)
+	n9.Trials, n9.Counts[9] = 320, 320
+	for _, tc := range []struct {
+		name string
+		res  ChunkResult
+	}{
+		{"neither shard nor error", ChunkResult{}},
+		{"empty shard", ChunkResult{Dist: ring.NewDistribution(8)}},
+		{"shard for n=9", ChunkResult{Dist: n9}},
+		{"short counts", ChunkResult{Dist: &ring.Distribution{N: 8, Trials: 320, Counts: []int{0, 320}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := New(Config{Version: "fleet-bad-shard", Role: RoleCoordinator, FleetChunk: 320, Parallel: 1, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv.Handler())
+			t.Cleanup(func() {
+				closed := make(chan struct{})
+				go func() {
+					srv.Close()
+					ts.Close()
+					close(closed)
+				}()
+				select {
+				case <-closed:
+				case <-time.After(30 * time.Second):
+					t.Error("coordinator did not shut down")
+				}
+			})
+			client := NewClient(ts.URL)
+			httpc := &http.Client{Timeout: 15 * time.Second} // above claimWait
+			post := func(path string, body any) (*http.Response, error) {
+				b, _ := json.Marshal(body)
+				return httpc.Post(ts.URL+path, "application/json", bytes.NewReader(b))
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+
+			// Hold the local claimant so the claim below wins chunk 0. The
+			// blocker is ten engine chunks, so a cancel lands after the
+			// chunks in flight rather than after the whole job.
+			blocker := holdLocalClaimant(t, srv, client, JobRequest{Scenario: "ring/a-lead/fifo", N: 1024, Trials: 320, Seed: 93})
+			req := JobRequest{Scenario: "ring/basic-lead/fifo", N: 8, Trials: 640, Seed: 94}
+			states, err := client.Submit(ctx, []JobRequest{req})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := post("/chunks/claim", ClaimRequest{Version: srv.Scheduler().Version(), Node: "saboteur", Wait: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var lease ChunkLease
+			if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&lease) != nil || lease.Job.Seed != req.Seed {
+				t.Fatalf("claim = %d, lease %+v; want chunk 0 of the job", resp.StatusCode, lease)
+			}
+			resp.Body.Close()
+
+			tc.res.Lease = lease.Lease
+			if rr, err := post("/chunks/result", tc.res); err != nil {
+				t.Errorf("result: %v", err)
+			} else {
+				rr.Body.Close()
+				if rr.StatusCode != http.StatusBadRequest {
+					t.Errorf("result = %d, want 400", rr.StatusCode)
+				}
+			}
+			if err := client.Cancel(ctx, blocker); err != nil {
+				t.Errorf("cancel blocker: %v", err)
+			}
+			final, err := client.Wait(ctx, states[0].ID)
+			if err != nil {
+				t.Errorf("job never ended: %v", err)
+			} else if final.Status != StatusFailed || !strings.Contains(final.Error, "chunk 0, trials [0, 320)") {
+				t.Errorf("job ended %s (%q), want failed naming chunk 0", final.Status, final.Error)
+			}
+			if _, err := client.Stats(ctx); err != nil {
+				t.Errorf("/statz after the bad result: %v", err)
+			}
+		})
 	}
 }
 

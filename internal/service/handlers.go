@@ -279,7 +279,8 @@ func (s *Server) handleChunkClaim(w http.ResponseWriter, r *http.Request) {
 
 // handleChunkResult folds a reported shard into its job, or 410 when the
 // lease is gone (expired and re-issued, or the job was canceled) — the
-// lease table is what guarantees each chunk merges exactly once.
+// lease table is what guarantees each chunk merges exactly once. A
+// malformed result gets a 400 and fails its job.
 func (s *Server) handleChunkResult(w http.ResponseWriter, r *http.Request) {
 	var res ChunkResult
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<22))
@@ -287,8 +288,13 @@ func (s *Server) handleChunkResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad result: %v", err)
 		return
 	}
-	if !s.sched.fleet.report(res.Lease, res.Dist, res.Error) {
+	held, bad := s.sched.fleet.report(res.Lease, res.Dist, res.Error)
+	if !held {
 		writeError(w, http.StatusGone, "lease %d is no longer held", res.Lease)
+		return
+	}
+	if bad != nil {
+		writeError(w, http.StatusBadRequest, "bad result: %v", bad)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"accepted": true})

@@ -184,17 +184,6 @@ type Partition struct {
 	Parts int
 }
 
-// Members returns the vertices of the given part.
-func (p Partition) Members(part int) []int {
-	var out []int
-	for v := 1; v < len(p.Part); v++ {
-		if p.Part[v] == part {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // MaxPartSize returns the size of the largest part — the k of the
 // k-simulated tree this partition witnesses.
 func (p Partition) MaxPartSize() int {

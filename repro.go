@@ -75,8 +75,8 @@ type (
 	ExperimentTable = harness.Table
 	// ConcurrentOptions tunes the goroutine-per-processor runtime.
 	ConcurrentOptions = conc.Options
-	// TrialOptions tunes a parallel trial batch (workers, chunking,
-	// adaptive early stopping) on the internal/engine runner.
+	// TrialOptions tunes a parallel trial batch (workers, adaptive early
+	// stopping, progress, arena pooling) on the internal/engine runner.
 	TrialOptions = ring.TrialOptions
 )
 
@@ -95,8 +95,7 @@ type (
 //
 // The structs, by entry point:
 //
-//   - TrialOptions — Trials/TrialsOpts and RunAttackTrials. Adds Chunk
-//     and Arenas.
+//   - TrialOptions — Trials/TrialsOpts and RunAttackTrials. Adds Arenas.
 //   - ScenarioOpts — RunScenario. Adds per-scenario overrides (N, Trials,
 //     K, Target) on top of the shared trio.
 //   - CertifyOptions — Certify/CertifyAll/CertifyMatch. Shares Workers and
