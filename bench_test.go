@@ -283,6 +283,49 @@ func BenchmarkPhaseLeadHonest(b *testing.B) {
 	benchProtocol(b, phaselead.NewDefault(), []int{64, 256, 1024})
 }
 
+// BenchmarkPhaseLeadBatch is the engine-path rung of PhaseAsyncLead
+// batches at n = 100: each op is one 64-trial batch on one worker, honest
+// (ring.TrialsOpts) or under steer-mode PhaseRushing (ring.RunAttackTrials),
+// in which every whole block of ring.Lanes trials of a chunk runs as one
+// lane execution, the coalition in lockstep adapters. It reports ns per
+// trial and ns per delivered lane message (each trial's deliveries count).
+// BenchmarkPhaseLeadHonest and BenchmarkPhaseRushingExecution, which time
+// scalar ring.Run trials, are its controls.
+func BenchmarkPhaseLeadBatch(b *testing.B) {
+	const n, trials = 100, 64
+	proto := phaselead.NewDefault()
+	for _, c := range []struct {
+		name string
+		run  func(seed int64) (*ring.Distribution, error)
+	}{
+		{"honest", func(seed int64) (*ring.Distribution, error) {
+			return ring.TrialsOpts(context.Background(), ring.Spec{N: n, Protocol: proto, Seed: seed},
+				trials, ring.TrialOptions{Workers: 1})
+		}},
+		{"attack=steer", func(seed int64) (*ring.Distribution, error) {
+			spec := ring.AttackSpec{N: n, Protocol: proto, Attack: attacks.PhaseRushing{Protocol: proto}, Target: 5, Seed: seed}
+			return ring.RunAttackTrials(context.Background(), spec, trials, ring.TrialOptions{Workers: 1})
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			msgs := 0
+			for i := 0; i < b.N; i++ {
+				d, err := c.run(int64(i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if d.Failures() != 0 {
+					b.Fatalf("%d trials failed", d.Failures())
+				}
+				msgs += d.Messages
+			}
+			ns := float64(b.Elapsed().Nanoseconds())
+			b.ReportMetric(ns/float64(b.N*trials), "ns/trial")
+			b.ReportMetric(ns/float64(msgs), "ns/msg")
+		})
+	}
+}
+
 func BenchmarkChangRoberts(b *testing.B) {
 	benchProtocol(b, classic.ChangRoberts{}, []int{64, 256, 1024})
 }

@@ -75,6 +75,11 @@ type PhaseRushing struct {
 
 var _ ring.Attack = PhaseRushing{}
 
+// BatchSafe marks PhaseRushing for plan reuse (see ring.Attack): Plan
+// ignores its seed, Init fully resets every planned member, and the attack
+// is a comparable value, so a lane worker plans it once per target.
+func (PhaseRushing) BatchSafe() {}
+
 // Name implements ring.Attack.
 func (a PhaseRushing) Name() string {
 	switch a.Mode {

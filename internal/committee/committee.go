@@ -22,7 +22,7 @@
 //
 // With A-LEADuni groups, a Runner simulates every block of up to
 // alead.Lanes (16) consecutive honest groups of one size as one lane
-// execution (alead.LaneRunner): a single ring whose messages carry one value
+// execution (ring.LaneRunner): a single ring whose messages carry one value
 // per group, which pays the kernel's per-message cost once for the block. An
 // honest A-LEADuni schedule does not depend on its values, so each lane's
 // result is exactly that group's scalar run; the differential tests pin the
@@ -235,12 +235,12 @@ func (e *Election) runner(target int64) (*Runner, error) {
 		// Lane runners for every size with at least two groups: a lone
 		// group runs faster alone than as a padded lane block.
 		if e.g-rem >= 2 {
-			if r.lanesSmall, err = alead.NewLaneRunner(base); err != nil {
+			if r.lanesSmall, err = ring.NewLaneRunner(alead.New(), base, false); err != nil {
 				return nil, fmt.Errorf("committee: inner lanes: %w", err)
 			}
 		}
 		if rem >= 2 {
-			if r.lanesBig, err = alead.NewLaneRunner(base + 1); err != nil {
+			if r.lanesBig, err = ring.NewLaneRunner(alead.New(), base+1, false); err != nil {
 				return nil, fmt.Errorf("committee: inner lanes: %w", err)
 			}
 		}
@@ -297,7 +297,7 @@ type Runner struct {
 
 	// Lane runners for blocks of up to alead.Lanes consecutive honest
 	// groups of one size (InnerALead only; nil for a size with one group).
-	lanesBig, lanesSmall *alead.LaneRunner
+	lanesBig, lanesSmall *ring.LaneRunner
 
 	// Attack state; target 0 means honest.
 	target   int64
@@ -336,7 +336,9 @@ func (r *Runner) Run(trialSeed int64) (sim.Result, error) {
 			for l := range count {
 				seeds[l] = GroupSeed(trialSeed, j+l)
 			}
-			block, err := lanes.Run(arena, seeds)
+			// Honest A-LEADuni lanes never diverge: their one
+			// value-dependent decision ends a processor either way.
+			block, _, err := lanes.Run(arena, seeds, nil)
 			if err != nil {
 				return sim.Result{}, fmt.Errorf("committee: groups %d-%d: %w", j+1, j+count, err)
 			}
@@ -414,7 +416,7 @@ func (r *Runner) Run(trialSeed int64) (sim.Result, error) {
 // groups of j's size, stopping short of the attacked group. It returns a nil
 // runner when group j runs alone: its size has no lane runner, or it is the
 // attacked group.
-func (r *Runner) laneBlock(j int) (*alead.LaneRunner, *sim.Arena, int) {
+func (r *Runner) laneBlock(j int) (*ring.LaneRunner, *sim.Arena, int) {
 	e := r.e
 	// The n mod g groups of size base+1 come first, so a size's groups form
 	// one run: [0, rem) for the big size, [rem, g) for the small one.

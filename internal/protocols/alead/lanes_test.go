@@ -18,20 +18,32 @@ func laneSeeds(b int) [Lanes]int64 {
 	return seeds
 }
 
+// laneVec builds the honest lane vector for rings of n processors on a
+// fresh lane state, for tests that run it on a network of their own.
+func laneVec(t *testing.T, n int) (*ring.LaneState, []sim.Strategy) {
+	t.Helper()
+	st := ring.NewLaneState(n)
+	vec, err := Protocol{}.LaneStrategies(n, st, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, vec
+}
+
 // TestLanesMatchScalar is the lane form's differential test: every lane's
 // full Result must equal the scalar ring.RunArena run under the lane's seed.
 func TestLanesMatchScalar(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 16, 100, 257} {
-		lr, err := NewLaneRunner(n)
+		lr, err := ring.NewLaneRunner(New(), n, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		laneArena, scalarArena := sim.NewArena(), sim.NewArena()
 		for b := 0; b < 4; b++ {
 			seeds := laneSeeds(b)
-			got, err := lr.Run(laneArena, seeds)
-			if err != nil {
-				t.Fatal(err)
+			got, ok, err := lr.Run(laneArena, seeds, nil)
+			if err != nil || !ok {
+				t.Fatalf("n=%d block %d: ok=%v, %v", n, b, ok, err)
 			}
 			if len(got) != Lanes {
 				t.Fatalf("n=%d: %d results, want %d", n, len(got), Lanes)
@@ -54,18 +66,15 @@ func TestLanesMatchScalar(t *testing.T) {
 // the same budget, running processors included.
 func TestLanesStepLimitFailsEveryLane(t *testing.T) {
 	const n = 16
-	lr, err := NewLaneRunner(n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, vec := laneVec(t, n)
 	for _, limit := range []int{1, n*n/2 + 3, n*n - 1} {
 		seeds := laneSeeds(limit)
-		lr.sh.seeds = seeds
-		net, err := sim.New(sim.Config{Strategies: lr.vec, Edges: sim.RingEdges(n), StepLimit: limit})
+		st.Seeds = seeds
+		net, err := sim.New(sim.Config{Strategies: vec, Edges: sim.RingEdges(n), StepLimit: limit})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := lr.split(net.Run())
+		got := st.Split(net.Run())
 		for l, seed := range seeds {
 			want, err := ring.Run(ring.Spec{N: n, Protocol: New(), Seed: seed, StepLimit: limit})
 			if err != nil {
@@ -116,13 +125,10 @@ func (f *inFlight) OnTerminate(sim.ProcID, int64, bool) {}
 // deliveries, no drops.
 func TestLanesOneMessageInFlight(t *testing.T) {
 	for n := 2; n <= 257; n++ {
-		lr, err := NewLaneRunner(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lr.sh.seeds = laneSeeds(n)
+		st, vec := laneVec(t, n)
+		st.Seeds = laneSeeds(n)
 		tr := &inFlight{n: n}
-		net, err := sim.New(sim.Config{Strategies: lr.vec, Edges: sim.RingEdges(n), Tracer: tr})
+		net, err := sim.New(sim.Config{Strategies: vec, Edges: sim.RingEdges(n), Tracer: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,18 +149,15 @@ func TestLanesOneMessageInFlight(t *testing.T) {
 func TestLanesAbortIsPerLane(t *testing.T) {
 	const n, lane = 9, 5
 	for _, victim := range []sim.ProcID{1, 4, n} {
-		lr, err := NewLaneRunner(n)
-		if err != nil {
-			t.Fatal(err)
-		}
+		st, vec := laneVec(t, n)
 		seeds := laneSeeds(int(victim))
-		lr.sh.seeds = seeds
-		tr := &inFlight{n: n, sh: lr.sh, victim: victim, corruptLane: lane}
-		net, err := sim.New(sim.Config{Strategies: lr.vec, Edges: sim.RingEdges(n), Tracer: tr})
+		st.Seeds = seeds
+		tr := &inFlight{n: n, sh: vec[0].(*laneOrigin).sh, victim: victim, corruptLane: lane}
+		net, err := sim.New(sim.Config{Strategies: vec, Edges: sim.RingEdges(n), Tracer: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := lr.split(net.Run())
+		got := st.Split(net.Run())
 		for l, seed := range seeds {
 			want, err := ring.Run(ring.Spec{N: n, Protocol: New(), Seed: seed})
 			if err != nil {
@@ -191,7 +194,7 @@ func TestLanesAbortIsPerLane(t *testing.T) {
 
 func TestNewLaneRunnerRejectsTinyRings(t *testing.T) {
 	for _, n := range []int{-1, 0, 1} {
-		if _, err := NewLaneRunner(n); err == nil {
+		if _, err := ring.NewLaneRunner(New(), n, false); err == nil {
 			t.Fatalf("n=%d accepted", n)
 		}
 	}
@@ -201,7 +204,7 @@ func TestNewLaneRunnerRejectsTinyRings(t *testing.T) {
 // bound: a ring whose secrets might not fit an int32 is refused before
 // anything is allocated.
 func TestNewLaneRunnerRejectsRingsBeyondInt32(t *testing.T) {
-	if _, err := NewLaneRunner(math.MaxInt32 + 1); err == nil {
+	if _, err := ring.NewLaneRunner(New(), math.MaxInt32+1, false); err == nil {
 		t.Fatal("n = MaxInt32+1 accepted")
 	}
 }

@@ -3,6 +3,7 @@ package ring
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -77,6 +78,32 @@ func TestMergeIdentityAndErrors(t *testing.T) {
 	}
 	if err := d.Merge(NewDistribution(5)); err == nil {
 		t.Error("merging different ring sizes succeeded")
+	}
+}
+
+// TestMergeRefusesMessageOverflow merges a shard whose message count
+// passes Validate but overflows the receiver's: Merge must refuse it and
+// leave the receiver unchanged, where a wrapped sum would read negative.
+func TestMergeRefusesMessageOverflow(t *testing.T) {
+	d := randomDistribution(8, 3, 40)
+	huge := NewDistribution(8)
+	huge.Trials, huge.Counts[8], huge.Messages = 40, 40, math.MaxInt
+	if err := huge.Validate(8, 40); err != nil {
+		t.Fatalf("the shard must pass Validate: %v", err)
+	}
+	if d.Messages == 0 {
+		t.Fatal("the receiver needs messages for the sum to overflow")
+	}
+	snapshot := *d
+	snapshot.Counts = append([]int(nil), d.Counts...)
+	if err := d.Merge(huge); err == nil {
+		t.Fatalf("merge succeeded with %d messages", d.Messages)
+	}
+	if !reflect.DeepEqual(*d, snapshot) {
+		t.Errorf("a refused merge changed the receiver: %+v, was %+v", *d, snapshot)
+	}
+	if err := huge.Merge(NewDistribution(8)); err != nil {
+		t.Errorf("merging an empty shard into MaxInt messages: %v", err)
 	}
 }
 

@@ -68,6 +68,13 @@ func (d *Deviation) Validate(n int) error {
 // concurrent calls: derive all randomness from the seed argument and build
 // a fresh Deviation each time, without mutating receiver state. Every
 // attack in this repository is a stateless value type.
+//
+// An attack may declare a `BatchSafe()` marker method. It promises three
+// things: Plan ignores its seed, each planned strategy's Init fully resets
+// it, and the attack value is comparable. AttackChunkJob then plans such an
+// attack once per worker and (attack, target) for its lane blocks, and
+// re-initializes the planned strategies for each block instead of planning
+// Lanes fresh deviations per block.
 type Attack interface {
 	// Name identifies the attack in reports.
 	Name() string

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/sim"
@@ -51,13 +53,18 @@ func (d *Distribution) Add(res sim.Result) {
 // Merge folds another distribution over the same ring size into d. Merging
 // is commutative and associative (every field is a counter sum), which is
 // what lets the trial engine accumulate into per-chunk shards and still
-// produce results identical to a sequential run.
+// produce results identical to a sequential run. It refuses, leaving d
+// unchanged, a merge whose message count would overflow: Validate bounds
+// every outcome count by the trials but cannot bound a shard's messages.
 func (d *Distribution) Merge(o *Distribution) error {
 	if o == nil {
 		return nil
 	}
 	if d.N != o.N {
 		return fmt.Errorf("ring: merging distributions of different ring sizes %d and %d", d.N, o.N)
+	}
+	if o.Messages > 0 && d.Messages > math.MaxInt-o.Messages {
+		return fmt.Errorf("ring: merging %d messages into %d overflows", o.Messages, d.Messages)
 	}
 	d.Trials += o.Trials
 	d.Messages += o.Messages
@@ -191,7 +198,8 @@ func DistSink(n int) engine.Sink[*Distribution] {
 	return engine.Sink[*Distribution]{
 		New: func() *Distribution { return NewDistribution(n) },
 		Add: func(d *Distribution, res sim.Result) { d.Add(res) },
-		// Merge cannot fail: every shard is built for the same n.
+		// Merge cannot fail: every shard is built for the same n, and an
+		// in-process batch delivers far fewer than MaxInt messages.
 		Merge: func(dst, src *Distribution) { _ = dst.Merge(src) },
 	}
 }
@@ -232,72 +240,70 @@ type SchedulerFor func(t int, trialSeed int64, arena *sim.Arena) (sim.Scheduler,
 // chosen by schedFor (nil = spec.Scheduler throughout). When the protocol
 // has a lane form and the batch is plain FIFO (see lanesFor), every whole
 // block of Lanes consecutive trials of a chunk runs as one lane execution
-// and only the chunk's last (end−start) mod Lanes trials run scalar. When
-// the protocol is Batchable and the spec carries no Deviation, the scalar
-// strategy vector is built and validated once per work-claim chunk and
-// re-initialized in place for every trial — the per-trial construction cost
-// of a Job-based batch disappears, with bit-identical outcomes. Other specs
-// fall back to per-trial RunArena inside the chunk.
+// and only the chunk's last (end−start) mod Lanes trials, and any block
+// whose lanes diverge, run scalar. When the protocol is Batchable and the
+// spec carries no Deviation, the scalar strategy vector is built and
+// validated once per work-claim chunk and re-initialized in place for every
+// trial — the per-trial construction cost of a Job-based batch disappears,
+// with bit-identical outcomes. Other specs fall back to per-trial RunArena
+// inside the chunk.
 func HonestChunkJob(spec Spec, schedFor SchedulerFor) engine.ChunkJob {
 	lanes := lanesFor(spec, schedFor)
+	batched := Batchable(spec.Protocol) && spec.Deviation == nil
 	return engine.ChunkFunc(func(start, end int, arena *sim.Arena, add func(sim.Result)) (int, error) {
-		if lanes != nil {
-			var err error
-			if start, err = runLanes(lanes, spec, start, end, arena, add); err != nil {
-				return start, err
-			}
-			if start == end {
-				return 0, nil
-			}
-		}
-		if !Batchable(spec.Protocol) || spec.Deviation != nil {
-			for t := start; t < end; t++ {
-				trialSpec := spec
-				trialSpec.Seed = TrialSeed(spec.Seed, t)
-				if schedFor != nil {
-					sched, err := schedFor(t, trialSpec.Seed, arena)
-					if err != nil {
-						return t, err
+		var block func(t int) (bool, error)
+		if lanes != nil && end-start >= Lanes {
+			if r := keepLanes(arena, lanes, spec.N).runner(false); r != nil {
+				block = func(t int) (bool, error) {
+					var seeds [Lanes]int64
+					for l := range seeds {
+						seeds[l] = TrialSeed(spec.Seed, t+l)
 					}
-					trialSpec.Scheduler = sched
+					return runLaneBlock(r, arena, t, seeds, nil, add)
 				}
-				res, err := RunArena(trialSpec, arena)
-				if err != nil {
-					return t, fmt.Errorf("trial %d: %w", t, err)
-				}
-				add(res)
 			}
-			return 0, nil
 		}
-		// Batched fast path: validate once, build the strategy vector once,
-		// and let Init (total reset, the BatchSafe contract) refresh it for
-		// each trial of the chunk.
-		strategies, err := honestStrategies(spec)
-		if err != nil {
-			return start, fmt.Errorf("trial %d: %w", start, err)
-		}
-		for t := start; t < end; t++ {
-			ts := TrialSeed(spec.Seed, t)
-			sched := spec.Scheduler
+		// Batched scalar trials validate once, build the strategy vector
+		// on the chunk's first scalar trial, and let Init (total reset, the
+		// BatchSafe contract) refresh it for each later trial.
+		var strategies []sim.Strategy
+		scalar := func(t int) error {
+			if batched && strategies == nil {
+				var err error
+				if strategies, err = honestStrategies(spec); err != nil {
+					return fmt.Errorf("trial %d: %w", t, err)
+				}
+			}
+			trialSpec := spec
+			trialSpec.Seed = TrialSeed(spec.Seed, t)
 			if schedFor != nil {
-				if sched, err = schedFor(t, ts, arena); err != nil {
-					return t, err
+				sched, err := schedFor(t, trialSpec.Seed, arena)
+				if err != nil {
+					return err
 				}
+				trialSpec.Scheduler = sched
 			}
-			res, err := arena.Run(sim.Config{
-				Strategies: strategies,
-				Edges:      arena.RingEdges(spec.N),
-				Seed:       ts,
-				Scheduler:  sched,
-				Tracer:     spec.Tracer,
-				StepLimit:  spec.StepLimit,
-			})
+			var res sim.Result
+			var err error
+			if batched {
+				res, err = arena.Run(sim.Config{
+					Strategies: strategies,
+					Edges:      arena.RingEdges(spec.N),
+					Seed:       trialSpec.Seed,
+					Scheduler:  trialSpec.Scheduler,
+					Tracer:     spec.Tracer,
+					StepLimit:  spec.StepLimit,
+				})
+			} else {
+				res, err = RunArena(trialSpec, arena)
+			}
 			if err != nil {
-				return t, fmt.Errorf("trial %d: %w", t, err)
+				return fmt.Errorf("trial %d: %w", t, err)
 			}
 			add(res)
+			return nil
 		}
-		return 0, nil
+		return runBlocks(start, end, block, scalar)
 	})
 }
 
@@ -390,11 +396,13 @@ type AttackSpec struct {
 // RunAttackTrials plans the attack once per trial (attacks may randomize
 // placement from the trial seed) and aggregates outcomes over the batch.
 // The batch runs chunked on the parallel engine (AttackChunkJob): when the
-// protocol is Batchable, the honest strategy vector is built once per chunk
-// and each trial's freshly planned deviation is overlaid on a per-worker
-// copy, so only the coalition's own strategy objects are constructed per
-// trial. The zero TrialOptions uses every CPU with no early stopping; any
-// options yield the same distribution for a fixed spec.
+// protocol has a lane form, every whole 16-trial block of a chunk runs as
+// one lane execution with the coalition in lockstep adapters; otherwise,
+// when the protocol is Batchable, the honest strategy vector is built once
+// per chunk and each trial's freshly planned deviation is overlaid on a
+// per-worker copy, so only the coalition's own strategy objects are
+// constructed per trial. The zero TrialOptions uses every CPU with no early
+// stopping; any options yield the same distribution for a fixed spec.
 func RunAttackTrials(ctx context.Context, spec AttackSpec, trials int, opts TrialOptions) (*Distribution, error) {
 	job := AttackChunkJob(spec.N, spec.Protocol, spec.Attack, spec.Target, spec.Seed)
 	return engine.RunBatch(ctx, trials, job, DistSink(spec.N), opts.engineOptions())
@@ -405,47 +413,105 @@ func RunAttackTrials(ctx context.Context, spec AttackSpec, trials int, opts Tria
 // protocol. Exposing the job lets remote claimants (the fleet's worker
 // nodes) run arbitrary sub-ranges of an attack batch through
 // engine.RunRange with bit-identical per-trial outcomes.
+//
+// When the protocol has a lane form that seats coalitions (see lanesFor and
+// LaneProtocol), every whole block of Lanes trials of a chunk plans its
+// Lanes deviations and, if they all plan, validate and share one coalition,
+// runs as one lane execution: honest processors run the protocol's lane
+// strategies, and each coalition member runs its Lanes planned strategies
+// side by side in a lockstep adapter. A block whose plans differ or fail,
+// or whose lanes diverge, runs scalar with fresh plans, so every trial adds
+// the Result, or returns the error, of the scalar loop. A BatchSafe attack
+// is planned once per worker and (attack, target), and its strategies are
+// re-initialized for each block.
 func AttackChunkJob(n int, protocol Protocol, attack Attack, target int64, baseSeed int64) engine.ChunkJob {
+	seedOf := func(t int) int64 { return int64(sim.Mix64(uint64(baseSeed), uint64(t)+0x9e37)) }
+	lanes := lanesFor(Spec{N: n, Protocol: protocol}, nil)
+	var reuse planKey // set for a BatchSafe attack
+	if _, ok := attack.(interface{ BatchSafe() }); ok {
+		reuse = planKey{attack, target}
+	}
+	batched := Batchable(protocol)
 	return engine.ChunkFunc(func(start, end int, arena *sim.Arena, add func(sim.Result)) (int, error) {
-		var honest []sim.Strategy
-		if Batchable(protocol) {
-			var err error
-			if honest, err = honestStrategies(Spec{N: n, Protocol: protocol}); err != nil {
-				return start, fmt.Errorf("trial %d: %w", start, err)
+		var block func(t int) (bool, error)
+		if lanes != nil && end-start >= Lanes {
+			w := keepLanes(arena, lanes, n)
+			if r := w.runner(true); r != nil {
+				var fresh [Lanes]*Deviation
+				block = func(t int) (bool, error) {
+					var seeds [Lanes]int64
+					for l := range seeds {
+						seeds[l] = seedOf(t + l)
+					}
+					devs := w.reusedPlans(reuse)
+					if devs == nil {
+						if !planLanes(&fresh, attack, n, target, seeds) {
+							return false, nil
+						}
+						devs = &fresh
+						if reuse.attack != nil {
+							kept := fresh
+							w.planFor, w.plans = reuse, &kept
+						}
+					}
+					return runLaneBlock(r, arena, t, seeds, devs, add)
+				}
 			}
 		}
-		for t := start; t < end; t++ {
-			seed := int64(sim.Mix64(uint64(baseSeed), uint64(t)+0x9e37))
+		// Batched scalar trials build the honest vector on the chunk's first
+		// scalar trial and overlay each trial's deviation on a copy.
+		var honest []sim.Strategy
+		scalar := func(t int) error {
+			if batched && honest == nil {
+				var err error
+				if honest, err = honestStrategies(Spec{N: n, Protocol: protocol}); err != nil {
+					return fmt.Errorf("trial %d: %w", t, err)
+				}
+			}
+			seed := seedOf(t)
 			dev, err := attack.Plan(n, target, seed)
 			if err != nil {
-				return t, &PlanError{Attack: attack.Name(), N: n, Err: err}
+				return &PlanError{Attack: attack.Name(), N: n, Err: err}
 			}
+			var res sim.Result
 			if honest == nil {
-				res, err := RunArena(Spec{N: n, Protocol: protocol, Deviation: dev, Seed: seed}, arena)
-				if err != nil {
-					return t, fmt.Errorf("trial %d: %w", t, err)
+				res, err = RunArena(Spec{N: n, Protocol: protocol, Deviation: dev, Seed: seed}, arena)
+			} else {
+				if err := dev.Validate(n); err != nil {
+					return fmt.Errorf("trial %d: %w", t, err)
 				}
-				add(res)
-				continue
+				strategies := arena.Strategies(n)
+				copy(strategies, honest)
+				for p, s := range dev.Strategies {
+					strategies[p-1] = s
+				}
+				res, err = arena.Run(sim.Config{
+					Strategies: strategies,
+					Edges:      arena.RingEdges(n),
+					Seed:       seed,
+				})
 			}
-			if err := dev.Validate(n); err != nil {
-				return t, fmt.Errorf("trial %d: %w", t, err)
-			}
-			strategies := arena.Strategies(n)
-			copy(strategies, honest)
-			for p, s := range dev.Strategies {
-				strategies[p-1] = s
-			}
-			res, err := arena.Run(sim.Config{
-				Strategies: strategies,
-				Edges:      arena.RingEdges(n),
-				Seed:       seed,
-			})
 			if err != nil {
-				return t, fmt.Errorf("trial %d: %w", t, err)
+				return fmt.Errorf("trial %d: %w", t, err)
 			}
 			add(res)
+			return nil
 		}
-		return 0, nil
+		return runBlocks(start, end, block, scalar)
 	})
+}
+
+// planLanes plans one lane block's deviations into devs, lane l under
+// seeds[l]. It reports whether the block can run as a lane execution: every
+// plan succeeded, validates, and shares lane 0's coalition.
+func planLanes(devs *[Lanes]*Deviation, attack Attack, n int, target int64, seeds [Lanes]int64) bool {
+	for l, seed := range seeds {
+		dev, err := attack.Plan(n, target, seed)
+		if err != nil || dev == nil || dev.Validate(n) != nil ||
+			(l > 0 && !slices.Equal(dev.Coalition, devs[0].Coalition)) {
+			return false
+		}
+		devs[l] = dev
+	}
+	return true
 }

@@ -82,28 +82,31 @@ func TestNonRingScenariosHaveNoSingleRun(t *testing.T) {
 	}
 }
 
-// laneSpy is A-LEADuni whose lane runners count their lane executions.
+// laneSpy is A-LEADuni whose lane vectors count their lane executions.
 type laneSpy struct {
 	alead.Protocol
 	runs *atomic.Int64
 }
 
-func (p laneSpy) NewLaneRunner(n int) (ring.LaneRunner, error) {
-	r, err := p.Protocol.NewLaneRunner(n)
-	if err != nil {
-		return nil, err
+func (p laneSpy) LaneStrategies(n int, st *ring.LaneState, coalition bool) ([]sim.Strategy, error) {
+	vec, err := p.Protocol.LaneStrategies(n, st, coalition)
+	if err != nil || vec == nil {
+		return vec, err
 	}
-	return laneSpyRunner{r, p.runs}, nil
+	vec[0] = laneSpyOrigin{vec[0], p.runs}
+	return vec, nil
 }
 
-type laneSpyRunner struct {
-	ring.LaneRunner
+// laneSpyOrigin counts lane executions: the origin wakes once per
+// execution.
+type laneSpyOrigin struct {
+	sim.Strategy
 	runs *atomic.Int64
 }
 
-func (r laneSpyRunner) Run(arena *sim.Arena, seeds [ring.Lanes]int64) ([]sim.Result, error) {
-	r.runs.Add(1)
-	return r.LaneRunner.Run(arena, seeds)
+func (o laneSpyOrigin) Init(ctx *sim.Context) {
+	o.runs.Add(1)
+	o.Strategy.Init(ctx)
 }
 
 // TestRingHonestLanesOnlyFIFO pins which honest ring batches run lane

@@ -411,9 +411,16 @@ func (f *fleet) fold(c *fleetChunk, dist *ring.Distribution, err error) {
 	// Advance the chunk-order merge frontier as far as contiguous results
 	// allow. Merging in index order — never arrival order — is what keeps
 	// the progress stream and any partial observation deterministic; the
-	// final totals are order-independent anyway (counter sums).
+	// final totals are order-independent anyway (counter sums). A merge
+	// that would overflow a counter fails the task.
 	for t.frontier < t.chunks && t.results[t.frontier] != nil {
-		_ = t.merged.Merge(t.results[t.frontier])
+		if err := t.merged.Merge(t.results[t.frontier]); err != nil {
+			start := t.frontier * f.chunkSize
+			f.failTaskLocked(t, fmt.Errorf("chunk %d, trials [%d, %d): %w",
+				t.frontier, start, min(start+f.chunkSize, t.total), err))
+			f.mu.Unlock()
+			return
+		}
 		t.results[t.frontier] = nil
 		t.frontier++
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -459,21 +460,32 @@ func TestFleetChunkErrorFailsWholeJob(t *testing.T) {
 
 // TestFleetRejectsMalformedShards leases one 320-trial chunk of an n = 8,
 // 640-trial job and reports a malformed result for it, one body per case.
-// Each must get a 400 and fail the job with an error naming the chunk,
-// never hang it, fold wrong bytes into it or wedge the coordinator:
-// /statz must still answer afterwards. Every wait is bounded, so a
-// coordinator that wedges fails the test instead of hanging it.
+// Each must fail the job with an error naming a chunk, never hang it, fold
+// wrong bytes into it or wedge the coordinator: /statz must still answer
+// afterwards. A shard that fails Validate gets a 400 and names its chunk; a
+// valid shard whose message count overflows the job's merged count is
+// accepted, and the merge of the next chunk fails the job. Every wait is
+// bounded, so a coordinator that wedges fails the test instead of hanging
+// it.
 func TestFleetRejectsMalformedShards(t *testing.T) {
 	n9 := ring.NewDistribution(9)
 	n9.Trials, n9.Counts[9] = 320, 320
+	// A well-formed shard whose message count passes Validate but
+	// overflows the job's merged count once chunk 1 folds on top of it.
+	huge := ring.NewDistribution(8)
+	huge.Trials, huge.Counts[8], huge.Messages = 320, 320, math.MaxInt
+	const chunk0 = "chunk 0, trials [0, 320)"
 	for _, tc := range []struct {
-		name string
-		res  ChunkResult
+		name   string
+		res    ChunkResult
+		status int    // the coordinator's answer to the result
+		chunk  string // the chunk the job's error names
 	}{
-		{"neither shard nor error", ChunkResult{}},
-		{"empty shard", ChunkResult{Dist: ring.NewDistribution(8)}},
-		{"shard for n=9", ChunkResult{Dist: n9}},
-		{"short counts", ChunkResult{Dist: &ring.Distribution{N: 8, Trials: 320, Counts: []int{0, 320}}}},
+		{"neither shard nor error", ChunkResult{}, http.StatusBadRequest, chunk0},
+		{"empty shard", ChunkResult{Dist: ring.NewDistribution(8)}, http.StatusBadRequest, chunk0},
+		{"shard for n=9", ChunkResult{Dist: n9}, http.StatusBadRequest, chunk0},
+		{"short counts", ChunkResult{Dist: &ring.Distribution{N: 8, Trials: 320, Counts: []int{0, 320}}}, http.StatusBadRequest, chunk0},
+		{"message count overflows", ChunkResult{Dist: huge}, http.StatusOK, "chunk 1, trials [320, 640)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, err := New(Config{Version: "fleet-bad-shard", Role: RoleCoordinator, FleetChunk: 320, Parallel: 1, Workers: 2})
@@ -527,8 +539,8 @@ func TestFleetRejectsMalformedShards(t *testing.T) {
 				t.Errorf("result: %v", err)
 			} else {
 				rr.Body.Close()
-				if rr.StatusCode != http.StatusBadRequest {
-					t.Errorf("result = %d, want 400", rr.StatusCode)
+				if rr.StatusCode != tc.status {
+					t.Errorf("result = %d, want %d", rr.StatusCode, tc.status)
 				}
 			}
 			if err := client.Cancel(ctx, blocker); err != nil {
@@ -537,8 +549,8 @@ func TestFleetRejectsMalformedShards(t *testing.T) {
 			final, err := client.Wait(ctx, states[0].ID)
 			if err != nil {
 				t.Errorf("job never ended: %v", err)
-			} else if final.Status != StatusFailed || !strings.Contains(final.Error, "chunk 0, trials [0, 320)") {
-				t.Errorf("job ended %s (%q), want failed naming chunk 0", final.Status, final.Error)
+			} else if final.Status != StatusFailed || !strings.Contains(final.Error, tc.chunk) {
+				t.Errorf("job ended %s (%q), want failed naming %s", final.Status, final.Error, tc.chunk)
 			}
 			if _, err := client.Stats(ctx); err != nil {
 				t.Errorf("/statz after the bad result: %v", err)
