@@ -249,7 +249,6 @@ func (e *Election) runner(target int64) (*Runner, error) {
 	if target != 0 {
 		r.atkGroup = e.GroupOf(target)
 		r.atkLocal = target - int64(e.starts[r.atkGroup])
-		r.atkVec = make([]sim.Strategy, e.sizes[r.atkGroup])
 		// The level-2 deviation is batch-safe (Init truncates its receive
 		// log), so one overlaid delegate vector serves every trial.
 		r.l2Atk = append([]sim.Strategy(nil), r.l2...)
@@ -303,7 +302,6 @@ type Runner struct {
 	target   int64
 	atkGroup int
 	atkLocal int64
-	atkVec   []sim.Strategy // scratch: attacked group's overlaid vector
 	l2Atk    []sim.Strategy // delegate vector with the sumRush overlay
 }
 
@@ -355,26 +353,17 @@ func (r *Runner) Run(trialSeed int64) (sim.Result, error) {
 		if size > e.n/e.g {
 			arena, vec = r.arenaBig, r.big
 		}
-		seed := GroupSeed(trialSeed, j)
+		spec := ring.Spec{N: size, Seed: GroupSeed(trialSeed, j)}
 		if r.target != 0 && j == r.atkGroup {
 			// The in-group deviation is planned per trial (the adversary's
-			// receive log is per-execution state) and overlaid on runner
-			// scratch, leaving the shared honest vector untouched.
-			dev, err := attacks.BasicSingle{Position: 1}.Plan(size, r.atkLocal, seed)
-			if err != nil {
+			// receive log is per-execution state); RunVector overlays it
+			// on arena scratch, leaving the shared honest vector untouched.
+			var err error
+			if spec.Deviation, err = (attacks.BasicSingle{Position: 1}).Plan(size, r.atkLocal, spec.Seed); err != nil {
 				return sim.Result{}, fmt.Errorf("committee: group %d attack: %w", j+1, err)
 			}
-			copy(r.atkVec, vec)
-			for p, s := range dev.Strategies {
-				r.atkVec[p-1] = s
-			}
-			vec = r.atkVec
 		}
-		res, err := arena.Run(sim.Config{
-			Strategies: vec,
-			Edges:      arena.RingEdges(size),
-			Seed:       seed,
-		})
+		res, err := ring.RunVector(spec, vec, arena)
 		if err != nil {
 			return sim.Result{}, fmt.Errorf("committee: group %d: %w", j+1, err)
 		}
@@ -387,11 +376,7 @@ func (r *Runner) Run(trialSeed int64) (sim.Result, error) {
 	if r.target != 0 {
 		l2 = r.l2Atk
 	}
-	res, err := r.arenaL2.Run(sim.Config{
-		Strategies: l2,
-		Edges:      r.arenaL2.RingEdges(e.g),
-		Seed:       Level2Seed(trialSeed),
-	})
+	res, err := ring.RunVector(ring.Spec{N: e.g, Seed: Level2Seed(trialSeed)}, l2, r.arenaL2)
 	if err != nil {
 		return sim.Result{}, fmt.Errorf("committee: delegate ring: %w", err)
 	}

@@ -36,9 +36,9 @@
 // # Invariants
 //
 //   - Determinism: for a fixed job and base seed, RunBatch's merged shard
-//     is identical at every worker count (including 1) and every chunk size;
-//     with a Stop rule, the stopping point additionally depends on the
-//     chunk size but never on worker count or scheduling.
+//     is identical at every worker count (including 1); with a Stop rule,
+//     the stopping point falls on a boundary of the fixed DefaultChunk
+//     chunks and never depends on worker count or scheduling.
 //   - Jobs must derive all per-trial randomness from the trial index;
 //     sharing mutable state between trials breaks the determinism contract.
 //   - Arenas never cross worker boundaries: a chunk receives the arena of

@@ -59,7 +59,7 @@ type Sink[S any] struct {
 
 // RunBatch executes trials trials of job on opts.Workers workers and
 // returns the merged shard. It is InOrder over the batch's chunks of
-// opts.Chunk trials: each chunk folds into its own shard, and the shards
+// DefaultChunk trials: each chunk folds into its own shard, and the shards
 // merge in chunk order. So the merged shard is identical for every worker
 // count, and the Stop rule and the Observe hook see the same prefixes
 // (chunks 0..i) whichever workers ran which chunks. Chunks completed
@@ -71,10 +71,7 @@ func RunBatch[S any](ctx context.Context, trials int, job ChunkJob, sink Sink[S]
 	if trials <= 0 {
 		return merged, nil
 	}
-	chunk := opts.Chunk
-	if chunk <= 0 {
-		chunk = DefaultChunk
-	}
+	const chunk = DefaultChunk
 	// Each lane owns one arena for the duration of the batch, and one add
 	// closure that folds into the shard of its current chunk. With
 	// opts.Arenas the arena outlives the batch on the shared pool.

@@ -91,15 +91,13 @@ func TestRunMatchesSequentialAtAnyWorkerCount(t *testing.T) {
 	job := mixJob(42)
 	want := sequentialBaseline(t, job, trials)
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, chunk := range []int{0, 1, 7, 1000} {
-			got, err := RunBatch(context.Background(), trials, job.chunks(), tallySink(),
-				Options[*tally]{Workers: workers, Chunk: chunk})
-			if err != nil {
-				t.Fatalf("workers=%d chunk=%d: %v", workers, chunk, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("workers=%d chunk=%d: merged shard differs from sequential baseline", workers, chunk)
-			}
+		got, err := RunBatch(context.Background(), trials, job.chunks(), tallySink(),
+			Options[*tally]{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: merged shard differs from sequential baseline", workers)
 		}
 	}
 }
@@ -141,7 +139,7 @@ func TestRunCancellation(t *testing.T) {
 		}
 		return sim.Result{Output: 1}, nil
 	})
-	_, err := RunBatch(ctx, 1_000_000, job.chunks(), tallySink(), Options[*tally]{Workers: 4, Chunk: 4})
+	_, err := RunBatch(ctx, 1_000_000, job.chunks(), tallySink(), Options[*tally]{Workers: 4})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -159,7 +157,7 @@ func TestAdaptiveStopIsDeterministic(t *testing.T) {
 	var want *tally
 	for _, workers := range []int{1, 2, 4, 8} {
 		got, err := RunBatch(context.Background(), trials, job.chunks(), tallySink(),
-			Options[*tally]{Workers: workers, Chunk: 64, Stop: stop})
+			Options[*tally]{Workers: workers, Stop: stop})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -191,7 +189,7 @@ func TestAdaptiveRunAbandonsBatchOnError(t *testing.T) {
 		return sim.Result{Output: 1}, nil
 	})
 	_, err := RunBatch(context.Background(), 1_000_000, job.chunks(), tallySink(),
-		Options[*tally]{Workers: 4, Chunk: 8, Stop: func(*tally, int) bool { return false }})
+		Options[*tally]{Workers: 4, Stop: func(*tally, int) bool { return false }})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -207,7 +205,7 @@ func TestAdaptiveStopRunsToCompletionWhenRuleNeverFires(t *testing.T) {
 	job := mixJob(3)
 	want := sequentialBaseline(t, job, trials)
 	got, err := RunBatch(context.Background(), trials, job.chunks(), tallySink(),
-		Options[*tally]{Workers: 4, Chunk: 16, Stop: func(*tally, int) bool { return false }})
+		Options[*tally]{Workers: 4, Stop: func(*tally, int) bool { return false }})
 	if err != nil {
 		t.Fatal(err)
 	}

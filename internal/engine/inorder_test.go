@@ -35,7 +35,6 @@ func TestRunBatchFailurePastStopIsNoFailure(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		got, err := RunBatch(context.Background(), 1000, job.chunks(), tallySink(), Options[*tally]{
 			Workers: workers,
-			Chunk:   32,
 			Stop:    func(*tally, int) bool { return true },
 		})
 		if err != nil {

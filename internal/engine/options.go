@@ -9,22 +9,16 @@ package engine
 const DefaultChunk = 32
 
 // Options tunes one RunBatch. The zero value runs on runtime.NumCPU() workers
-// with DefaultChunk trials per chunk and no early stopping.
+// with no early stopping. Every batch runs in chunks of DefaultChunk trials.
 type Options[S any] struct {
 	// Workers is the number of concurrent workers; 0 picks
 	// runtime.NumCPU(). The merged result is identical for every value.
 	Workers int
-	// Chunk is the number of trials per claimed work unit; 0 picks
-	// DefaultChunk. With a Stop rule, the rule is evaluated once per
-	// chunk boundary, so Chunk trades stopping granularity against
-	// coordination overhead. Changing Chunk may change where an adaptive
-	// run stops (never what a full run returns).
-	Chunk int
 	// Stop, if non-nil, enables adaptive early stopping: it is called
 	// with the merged prefix of chunks 0..i (in chunk order, under a
 	// lock) and the number of trials that prefix holds, and returns true
 	// to stop the batch after that prefix. The decision point depends
-	// only on (base seed, trials, Chunk) — never on worker count or
+	// only on (base seed, trials) — never on worker count or
 	// scheduling — so adaptive runs stay deterministic. Chunks already
 	// completed beyond the stopping point are discarded.
 	//
@@ -36,7 +30,7 @@ type Options[S any] struct {
 	// under a lock — without any power to stop the batch. It is the
 	// progress hook behind streaming consumers (the service daemon's
 	// NDJSON job streams): the sequence of snapshots depends only on
-	// (base seed, trials, Chunk), never on worker count or scheduling,
+	// (base seed, trials), never on worker count or scheduling,
 	// and the final call always covers the whole batch. The callback
 	// must not retain prefix (it aliases the engine's merge target) and
 	// should be cheap: it runs under the engine's merge lock.

@@ -232,7 +232,7 @@ func (r *LaneRunner) Run(arena *sim.Arena, seeds [Lanes]int64, devs *[Lanes]*Dev
 	r.st.reset(seeds)
 	// The network's own seed only keys processor streams the lane
 	// strategies never draw from: each lane draws from its own seed.
-	net, err := arena.Run(sim.Config{Strategies: r.vec, Edges: arena.RingEdges(r.n)})
+	net, err := RunVector(Spec{N: r.n}, r.vec, arena)
 	if err != nil {
 		return nil, false, fmt.Errorf("ring: lane ring: %w", err)
 	}

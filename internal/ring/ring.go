@@ -132,13 +132,26 @@ func RunArena(spec Spec, arena *sim.Arena) (sim.Result, error) {
 	if err != nil {
 		return sim.Result{}, err
 	}
+	return RunVector(spec, strategies, arena)
+}
+
+// RunVector runs one ring election of the spec on an honest strategy vector
+// the caller already built for spec.N; spec.Protocol is not consulted. It
+// validates spec.Deviation and overlays it on a copy in the arena's scratch,
+// so the vector stays untouched and can serve the next execution. Every ring
+// execution runs through it: RunArena, every trial of a chunk job, lane
+// executions and the committee's sub-elections.
+func RunVector(spec Spec, strategies []sim.Strategy, arena *sim.Arena) (sim.Result, error) {
 	if err := spec.Deviation.Validate(spec.N); err != nil {
 		return sim.Result{}, err
 	}
 	if spec.Deviation != nil {
+		overlaid := arena.Strategies(spec.N)
+		copy(overlaid, strategies)
 		for p, s := range spec.Deviation.Strategies {
-			strategies[p-1] = s
+			overlaid[p-1] = s
 		}
+		strategies = overlaid
 	}
 	return arena.Run(sim.Config{
 		Strategies: strategies,

@@ -158,7 +158,7 @@ func (d *Distribution) String() string {
 }
 
 // TrialOptions tunes a batch of trials run on the parallel engine. The zero
-// value uses every CPU, the engine's default chunk size, and no early
+// value uses every CPU, the engine's fixed chunk size, and no early
 // stopping; any setting yields the same distribution for a fixed seed.
 type TrialOptions struct {
 	// Workers is the worker count; 0 picks runtime.NumCPU().
@@ -224,7 +224,16 @@ func StopWhenResolved(halfWidth float64, minTrials int, z float64) func(*Distrib
 // shares this derivation, which is what lets a registry run reproduce a
 // TrialsOpts batch bit-for-bit.
 func TrialSeed(base int64, t int) int64 {
-	return int64(sim.Mix64(uint64(base), uint64(t)+0x1234))
+	return trialSeed(base, t, honestTag)
+}
+
+// Trial t of a batch runs under Mix64(base, t + tag): honest batches tag
+// with honestTag, attack batches with attackTag.
+const honestTag, attackTag uint64 = 0x1234, 0x9e37
+
+// trialSeed derives trial t's seed from the batch's base seed and tag.
+func trialSeed(base int64, t int, tag uint64) int64 {
+	return int64(sim.Mix64(uint64(base), uint64(t)+tag))
 }
 
 // SchedulerFor supplies the scheduler for one trial of a batched run: t is
@@ -241,74 +250,19 @@ type SchedulerFor func(t int, trialSeed int64, arena *sim.Arena) (sim.Scheduler,
 // has a lane form and the batch is plain FIFO (see lanesFor), every whole
 // block of Lanes consecutive trials of a chunk runs as one lane execution
 // and only the chunk's last (end−start) mod Lanes trials, and any block
-// whose lanes diverge, run scalar. When the protocol is Batchable and the
-// spec carries no Deviation, the scalar strategy vector is built and
-// validated once per work-claim chunk and re-initialized in place for every
-// trial — the per-trial construction cost of a Job-based batch disappears,
-// with bit-identical outcomes. Other specs fall back to per-trial RunArena
-// inside the chunk.
+// whose lanes diverge, run scalar. When the protocol is Batchable, the
+// scalar strategy vector is built and validated once per work-claim chunk
+// and re-initialized in place for every trial, with the spec's Deviation
+// overlaid on a copy — the per-trial construction cost of a Job-based batch
+// disappears, with bit-identical outcomes. Other protocols build their
+// vector per trial.
 func HonestChunkJob(spec Spec, schedFor SchedulerFor) engine.ChunkJob {
-	lanes := lanesFor(spec, schedFor)
-	batched := Batchable(spec.Protocol) && spec.Deviation == nil
-	return engine.ChunkFunc(func(start, end int, arena *sim.Arena, add func(sim.Result)) (int, error) {
-		var block func(t int) (bool, error)
-		if lanes != nil && end-start >= Lanes {
-			if r := keepLanes(arena, lanes, spec.N).runner(false); r != nil {
-				block = func(t int) (bool, error) {
-					var seeds [Lanes]int64
-					for l := range seeds {
-						seeds[l] = TrialSeed(spec.Seed, t+l)
-					}
-					return runLaneBlock(r, arena, t, seeds, nil, add)
-				}
-			}
-		}
-		// Batched scalar trials validate once, build the strategy vector
-		// on the chunk's first scalar trial, and let Init (total reset, the
-		// BatchSafe contract) refresh it for each later trial.
-		var strategies []sim.Strategy
-		scalar := func(t int) error {
-			if batched && strategies == nil {
-				var err error
-				if strategies, err = honestStrategies(spec); err != nil {
-					return fmt.Errorf("trial %d: %w", t, err)
-				}
-			}
-			trialSpec := spec
-			trialSpec.Seed = TrialSeed(spec.Seed, t)
-			if schedFor != nil {
-				sched, err := schedFor(t, trialSpec.Seed, arena)
-				if err != nil {
-					return err
-				}
-				trialSpec.Scheduler = sched
-			}
-			var res sim.Result
-			var err error
-			if batched {
-				res, err = arena.Run(sim.Config{
-					Strategies: strategies,
-					Edges:      arena.RingEdges(spec.N),
-					Seed:       trialSpec.Seed,
-					Scheduler:  trialSpec.Scheduler,
-					Tracer:     spec.Tracer,
-					StepLimit:  spec.StepLimit,
-				})
-			} else {
-				res, err = RunArena(trialSpec, arena)
-			}
-			if err != nil {
-				return fmt.Errorf("trial %d: %w", t, err)
-			}
-			add(res)
-			return nil
-		}
-		return runBlocks(start, end, block, scalar)
-	})
+	return &chunkJob{spec: spec, tag: honestTag, schedFor: schedFor,
+		lanes: lanesFor(spec, schedFor), batched: Batchable(spec.Protocol)}
 }
 
 // honestStrategies validates the spec and builds its honest strategy vector:
-// the checks RunArena and the batched chunk path share.
+// the checks RunArena and the chunk job share.
 func honestStrategies(spec Spec) ([]sim.Strategy, error) {
 	if spec.N < 2 {
 		return nil, fmt.Errorf("ring: need n ≥ 2, got %d", spec.N)
@@ -425,80 +379,99 @@ func RunAttackTrials(ctx context.Context, spec AttackSpec, trials int, opts Tria
 // is planned once per worker and (attack, target), and its strategies are
 // re-initialized for each block.
 func AttackChunkJob(n int, protocol Protocol, attack Attack, target int64, baseSeed int64) engine.ChunkJob {
-	seedOf := func(t int) int64 { return int64(sim.Mix64(uint64(baseSeed), uint64(t)+0x9e37)) }
-	lanes := lanesFor(Spec{N: n, Protocol: protocol}, nil)
-	var reuse planKey // set for a BatchSafe attack
+	spec := Spec{N: n, Protocol: protocol, Seed: baseSeed}
+	j := &chunkJob{spec: spec, tag: attackTag, attack: attack, target: target,
+		lanes: lanesFor(spec, nil), batched: Batchable(protocol)}
 	if _, ok := attack.(interface{ BatchSafe() }); ok {
-		reuse = planKey{attack, target}
+		j.reuse = planKey{attack, target}
 	}
-	batched := Batchable(protocol)
-	return engine.ChunkFunc(func(start, end int, arena *sim.Arena, add func(sim.Result)) (int, error) {
-		var block func(t int) (bool, error)
-		if lanes != nil && end-start >= Lanes {
-			w := keepLanes(arena, lanes, n)
-			if r := w.runner(true); r != nil {
-				var fresh [Lanes]*Deviation
-				block = func(t int) (bool, error) {
-					var seeds [Lanes]int64
-					for l := range seeds {
-						seeds[l] = seedOf(t + l)
-					}
-					devs := w.reusedPlans(reuse)
-					if devs == nil {
-						if !planLanes(&fresh, attack, n, target, seeds) {
+	return j
+}
+
+// chunkJob is the one engine job behind every ring trial batch, honest
+// (HonestChunkJob) and attacked (AttackChunkJob). Trial t runs under
+// trialSeed(spec.Seed, t, tag) with the spec's scheduler, or schedFor's,
+// and with the spec's Deviation or, when attack is set, the one the attack
+// plans under the trial's seed.
+type chunkJob struct {
+	spec     Spec
+	tag      uint64
+	schedFor SchedulerFor
+	attack   Attack // nil for honest batches
+	target   int64
+	lanes    LaneProtocol // nil: every trial runs scalar
+	reuse    planKey      // set for a BatchSafe attack
+	batched  bool         // one honest vector serves the whole chunk
+}
+
+// RunChunk implements engine.ChunkJob: every whole block of Lanes trials
+// runs as one lane execution where the job has a lane path, and every other
+// trial, and every block that declines or diverges, runs scalar.
+func (j *chunkJob) RunChunk(start, end int, arena *sim.Arena, add func(sim.Result)) (int, error) {
+	n := j.spec.N
+	var block func(t int) (bool, error)
+	if j.lanes != nil && end-start >= Lanes {
+		w := keepLanes(arena, j.lanes, n)
+		if r := w.runner(j.attack != nil); r != nil {
+			var fresh [Lanes]*Deviation
+			block = func(t int) (bool, error) {
+				var seeds [Lanes]int64
+				for l := range seeds {
+					seeds[l] = trialSeed(j.spec.Seed, t+l, j.tag)
+				}
+				var devs *[Lanes]*Deviation
+				if j.attack != nil {
+					if devs = w.reusedPlans(j.reuse); devs == nil {
+						if !planLanes(&fresh, j.attack, n, j.target, seeds) {
 							return false, nil
 						}
 						devs = &fresh
-						if reuse.attack != nil {
+						if j.reuse.attack != nil {
 							kept := fresh
-							w.planFor, w.plans = reuse, &kept
+							w.planFor, w.plans = j.reuse, &kept
 						}
 					}
-					return runLaneBlock(r, arena, t, seeds, devs, add)
 				}
+				return runLaneBlock(r, arena, t, seeds, devs, add)
 			}
 		}
-		// Batched scalar trials build the honest vector on the chunk's first
-		// scalar trial and overlay each trial's deviation on a copy.
-		var honest []sim.Strategy
-		scalar := func(t int) error {
-			if batched && honest == nil {
-				var err error
-				if honest, err = honestStrategies(Spec{N: n, Protocol: protocol}); err != nil {
-					return fmt.Errorf("trial %d: %w", t, err)
-				}
-			}
-			seed := seedOf(t)
-			dev, err := attack.Plan(n, target, seed)
-			if err != nil {
-				return &PlanError{Attack: attack.Name(), N: n, Err: err}
-			}
-			var res sim.Result
-			if honest == nil {
-				res, err = RunArena(Spec{N: n, Protocol: protocol, Deviation: dev, Seed: seed}, arena)
-			} else {
-				if err := dev.Validate(n); err != nil {
-					return fmt.Errorf("trial %d: %w", t, err)
-				}
-				strategies := arena.Strategies(n)
-				copy(strategies, honest)
-				for p, s := range dev.Strategies {
-					strategies[p-1] = s
-				}
-				res, err = arena.Run(sim.Config{
-					Strategies: strategies,
-					Edges:      arena.RingEdges(n),
-					Seed:       seed,
-				})
-			}
-			if err != nil {
+	}
+	// A batched chunk builds the honest vector on its first scalar trial
+	// and lets Init (total reset, the BatchSafe contract) refresh it for
+	// each later trial; RunVector overlays each trial's deviation on a
+	// copy.
+	var honest []sim.Strategy
+	scalar := func(t int) error {
+		spec := j.spec
+		spec.Seed = trialSeed(j.spec.Seed, t, j.tag)
+		if honest == nil || !j.batched {
+			var err error
+			if honest, err = honestStrategies(spec); err != nil {
 				return fmt.Errorf("trial %d: %w", t, err)
 			}
-			add(res)
-			return nil
 		}
-		return runBlocks(start, end, block, scalar)
-	})
+		if j.schedFor != nil {
+			sched, err := j.schedFor(t, spec.Seed, arena)
+			if err != nil {
+				return err
+			}
+			spec.Scheduler = sched
+		}
+		if j.attack != nil {
+			dev, err := j.attack.Plan(n, j.target, spec.Seed)
+			if err != nil {
+				return &PlanError{Attack: j.attack.Name(), N: n, Err: err}
+			}
+			spec.Deviation = dev
+		}
+		res, err := RunVector(spec, honest, arena)
+		if err != nil {
+			return fmt.Errorf("trial %d: %w", t, err)
+		}
+		add(res)
+		return nil
+	}
+	return runBlocks(start, end, block, scalar)
 }
 
 // planLanes plans one lane block's deviations into devs, lane l under

@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"fmt"
-
 	"repro/internal/classic"
 	"repro/internal/committee"
 	"repro/internal/engine"
@@ -21,15 +19,13 @@ import (
 
 // Chunked-job builders. Each returns the scenario's canonical chunked
 // engine job — the one unit both local runs (Scenario.batch → engineBatch) and
-// remote shard claims (RunShard → engine.RunRange) execute — and, for ring
-// topologies, the single-execution hook used by the schedule-independence
-// property tests.
+// remote shard claims (RunShard → engine.RunRange) execute.
 
 // ringHonest runs an honest ring protocol, building a fresh scheduler per
 // trial so non-FIFO batches stay shard-safe. With SchedFIFO the batch is
 // ring.TrialsOpts's own job (same seed derivation, same engine), so a lane
 // protocol runs its FIFO batches in lane blocks.
-func ringHonest(proto ring.Protocol, sched string) (chunksFunc, singleFunc) {
+func ringHonest(proto ring.Protocol, sched string) chunksFunc {
 	// Chunked batch: Batchable protocols reuse one strategy vector per
 	// work-claim chunk; the per-trial hook rebuilds only the scheduler
 	// (recycled on the worker's arena). FIFO's scheduler is nil, so it
@@ -40,13 +36,9 @@ func ringHonest(proto ring.Protocol, sched string) (chunksFunc, singleFunc) {
 			return newScheduler(sched, ts, arena)
 		}
 	}
-	chunks := func(seed int64, p params) (engine.ChunkJob, error) {
+	return func(seed int64, p params) (engine.ChunkJob, error) {
 		return ring.HonestChunkJob(ring.Spec{N: p.N, Protocol: proto, Seed: seed}, schedFor), nil
 	}
-	single := func(seed int64, sc sim.Scheduler, p params, arena *sim.Arena) (sim.Result, error) {
-		return ring.RunArena(ring.Spec{N: p.N, Protocol: proto, Seed: seed, Scheduler: sc}, arena)
-	}
-	return chunks, single
 }
 
 // ringFamilyAttack runs a registered deviation family's attack against a
@@ -55,41 +47,14 @@ func ringHonest(proto ring.Protocol, sched string) (chunksFunc, singleFunc) {
 // reproduce the harness experiments byte-identically — and equilibrium
 // sweeps, which plan through the very same family, reproduce the registry
 // runs.
-func ringFamilyAttack(base ring.Protocol, family, mode string) (chunksFunc, singleFunc) {
-	plan := func(p params) (ring.Protocol, ring.Attack, error) {
-		fam, ok := FindFamily(family)
-		if !ok {
-			return nil, nil, fmt.Errorf("no registered deviation family %q", family)
-		}
-		proto := base
-		if fam.Proto != nil {
-			proto = fam.Proto(p.N, proto)
-		}
-		atk, err := fam.Plan(proto, p.K, mode)
-		if err != nil {
-			return nil, nil, err
-		}
-		return proto, atk, nil
-	}
-	chunks := func(seed int64, p params) (engine.ChunkJob, error) {
-		proto, atk, err := plan(p)
+func ringFamilyAttack(base ring.Protocol, family, mode string) chunksFunc {
+	return func(seed int64, p params) (engine.ChunkJob, error) {
+		proto, atk, err := planFamily(base, DeviationCandidate{Family: family, K: p.K, Mode: mode}, p.N)
 		if err != nil {
 			return nil, err
 		}
 		return ring.AttackChunkJob(p.N, proto, atk, p.Target, seed), nil
 	}
-	single := func(seed int64, sc sim.Scheduler, p params, arena *sim.Arena) (sim.Result, error) {
-		proto, atk, err := plan(p)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		dev, err := atk.Plan(p.N, p.Target, seed)
-		if err != nil {
-			return sim.Result{}, fmt.Errorf("plan %s (n=%d): %w", atk.Name(), p.N, err)
-		}
-		return ring.RunArena(ring.Spec{N: p.N, Protocol: proto, Deviation: dev, Seed: seed, Scheduler: sc}, arena)
-	}
-	return chunks, single
 }
 
 // completeChunks runs the asynchronous complete-graph election with Shamir
@@ -263,12 +228,6 @@ func registerChunked(s Scenario, chunks chunksFunc) {
 	register(s)
 }
 
-// registerRing registers one ring scenario from its builder pair.
-func registerRing(s Scenario, chunks chunksFunc, single singleFunc) {
-	s.chunks, s.single = chunks, single
-	register(s)
-}
-
 // pathRoot roots the path tree at its middle vertex.
 func pathRoot(n int) int { return (n + 1) / 2 }
 
@@ -300,8 +259,7 @@ func init() {
 			"classical O(n log n) baseline, random ids, position output"},
 	} {
 		for _, sched := range h.scheds {
-			run, single := ringHonest(h.proto, sched)
-			registerRing(Scenario{
+			registerChunked(Scenario{
 				Name:      "ring/" + h.slug + "/" + sched,
 				Topology:  "ring",
 				Protocol:  h.slug,
@@ -311,7 +269,7 @@ func init() {
 				Uniform:   h.uniform,
 				Note:      h.note,
 				proto:     h.proto,
-			}, run, single)
+			}, ringHonest(h.proto, sched))
 		}
 	}
 
@@ -355,8 +313,7 @@ func init() {
 		{"phase-lead", phase, "sum-phase", "sum-phase", "",
 			121, 16, 40, 0, 4, "control: the same four colluders are powerless against f"},
 	} {
-		run, single := ringFamilyAttack(a.proto, a.family, a.mode)
-		registerRing(Scenario{
+		registerChunked(Scenario{
 			Name:      "ring/" + a.protoSlug + "/attack=" + a.attack,
 			Topology:  "ring",
 			Protocol:  a.protoSlug,
@@ -371,14 +328,13 @@ func init() {
 			proto:     a.proto,
 			family:    a.family,
 			mode:      a.mode,
-		}, run, single)
+		}, ringFamilyAttack(a.proto, a.family, a.mode))
 	}
 
 	// --- Wake-up extension (Appendix H): id exchange, then A-LEADuni.
 	for _, sched := range []string{SchedFIFO, SchedRandom} {
 		wk := wakeup.New()
-		run, single := ringHonest(wk, sched)
-		registerRing(Scenario{
+		registerChunked(Scenario{
 			Name:      "wakeup/a-lead/" + sched,
 			Topology:  "wakeup",
 			Protocol:  "a-lead",
@@ -389,12 +345,11 @@ func init() {
 			Uniform:   true,
 			Note:      "wake-up id circulation then A-LEADuni re-indexed at the minimal id",
 			proto:     wk,
-		}, run, single)
+		}, ringHonest(wk, sched))
 	}
 	{
 		wk := wakeup.New()
-		run, single := ringFamilyAttack(wk, "wakeup-rushing", "")
-		registerRing(Scenario{
+		registerChunked(Scenario{
 			Name:      "wakeup/a-lead/attack=wakeup-rushing",
 			Topology:  "wakeup",
 			Protocol:  "a-lead",
@@ -407,7 +362,7 @@ func init() {
 			Note:      "Section 4 attacks survive the wake-up extension (Appendix H remark)",
 			proto:     wk,
 			family:    "wakeup-rushing",
-		}, run, single)
+		}, ringFamilyAttack(wk, "wakeup-rushing", ""))
 	}
 
 	// --- Hierarchical committee composition: √n-sized groups running a

@@ -367,17 +367,19 @@ func (s Scenario) RegisteredDeviation(o Opts) (DeviationCandidate, bool) {
 	return DeviationCandidate{Family: s.family, K: p.K, Mode: s.mode, Target: p.Target}, true
 }
 
-// deviationAttack resolves a family candidate to the protocol under attack
-// and the planned attack value.
-func (s Scenario) deviationAttack(cand DeviationCandidate, n int) (ring.Protocol, ring.Attack, error) {
+// planFamily is the one ring planner: it resolves a family candidate to
+// the protocol under attack (base, or the family's lift of it) and the
+// planned attack value. Batches, single runs and deviation sweeps all plan
+// through it.
+func planFamily(base ring.Protocol, cand DeviationCandidate, n int) (ring.Protocol, ring.Attack, error) {
 	fam, ok := FindFamily(cand.Family)
 	if !ok {
 		return nil, nil, fmt.Errorf("scenario: no registered deviation family %q", cand.Family)
 	}
-	if s.proto == nil {
-		return nil, nil, fmt.Errorf("scenario: %s has no ring protocol to attack", s.Name)
+	if base == nil {
+		return nil, nil, fmt.Errorf("scenario: family %s needs a ring protocol to attack", cand.Family)
 	}
-	proto := s.proto
+	proto := base
 	if fam.Proto != nil {
 		proto = fam.Proto(n, proto)
 	}
@@ -392,7 +394,7 @@ func (s Scenario) deviationAttack(cand DeviationCandidate, n int) (ring.Protocol
 // ring of size n (probed with a fixed seed; randomized-placement families
 // whose feasibility is essentially seed-independent probe representatively).
 func (s Scenario) feasibleDeviation(cand DeviationCandidate, n int) bool {
-	_, atk, err := s.deviationAttack(cand, n)
+	_, atk, err := planFamily(s.proto, cand, n)
 	if err != nil {
 		return false
 	}
@@ -413,9 +415,6 @@ func (s Scenario) RunDeviation(ctx context.Context, seed int64, cand DeviationCa
 	if err != nil {
 		return nil, err
 	}
-	if p.Trials < 1 {
-		return nil, fmt.Errorf("scenario: %s needs ≥ 1 trial, got %d", s.Name, p.Trials)
-	}
 	switch cand.Family {
 	case "", FamilyIdentity:
 		if s.Attack == "" {
@@ -432,7 +431,7 @@ func (s Scenario) RunDeviation(ctx context.Context, seed int64, cand DeviationCa
 		p.K, p.Target = cand.K, cand.Target
 		return s.batch(ctx, seed, p)
 	default:
-		proto, atk, err := s.deviationAttack(cand, p.N)
+		proto, atk, err := planFamily(s.proto, cand, p.N)
 		if err != nil {
 			return nil, err
 		}

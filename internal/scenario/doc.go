@@ -11,9 +11,11 @@
 //
 // Scenarios are named <topology>/<protocol>/<scheduler> for honest runs and
 // <topology>/<protocol>/attack=<attack> for adversarial ones, e.g.
-// "ring/a-lead/fifo" or "complete/shamir/attack=pool". Registration happens
-// at init time via the catalog in catalog.go; after init the registry is
-// read-only and safe for concurrent use.
+// "ring/a-lead/fifo" or "complete/shamir/attack=pool". The catalog in
+// catalog.go registers at init time; RegisterRingScenario,
+// RegisterRingAttackScenario and RegisterDeviationFamily extend it at run
+// time (compiled MAR specs). Locks guard both registries, so lookups are
+// safe for concurrent use alongside late registrations.
 //
 // # Invariants
 //
@@ -24,10 +26,13 @@
 //     ring.Trials/RunAttackTrials (ring.TrialSeed), so a registry run
 //     reproduces the corresponding harness experiment byte-identically.
 //   - Trial jobs run their executions on the engine's per-worker arenas
-//     (ring.RunArena, fullnet/treeproto RunArena, arena-recycled random
-//     schedulers), so batches stay near-allocation-free; the reset-vs-fresh
-//     property test pins that an arena execution equals a fresh one bit for
-//     bit on every ring scenario.
+//     (ring chunk jobs through ring.RunVector, fullnet/treeproto RunArena,
+//     arena-recycled random schedulers), so batches stay near-allocation-
+//     free; the reset-vs-fresh property test pins that an arena execution
+//     equals a fresh one bit for bit on every ring scenario.
+//   - A ring scenario's single execution (SingleRun) is built from the
+//     same protocol, family and mode as its batch, and trial t of the
+//     batch equals the single run under trial t's seed.
 //   - Scenarios marked Uniform have leader distributions that are uniform
 //     over [1..N] by construction; the differential test suite checks all
 //     pairs of them against each other with chi-squared homogeneity.

@@ -15,10 +15,9 @@ import (
 // serve it unchanged.
 
 // RegisterRingScenario registers an honest ring-simulator scenario running
-// proto under s.Scheduler. The run, chunked-job, and single-execution
-// functions are derived exactly as for the init-time catalog, so the
-// scenario shards over the fleet (RunShard) and answers deviation sweeps
-// like any native entry.
+// proto under s.Scheduler. Its chunked job and single executions are
+// derived exactly as for the init-time catalog, so the scenario shards over
+// the fleet (RunShard) and answers deviation sweeps like any native entry.
 func RegisterRingScenario(s Scenario, proto ring.Protocol) error {
 	if proto == nil {
 		return fmt.Errorf("scenario: %s: nil protocol", s.Name)
@@ -28,9 +27,7 @@ func RegisterRingScenario(s Scenario, proto ring.Protocol) error {
 	default:
 		return fmt.Errorf("scenario: %s: unknown scheduler %q", s.Name, s.Scheduler)
 	}
-	chunks, single := ringHonest(proto, s.Scheduler)
-	s.proto = proto
-	s.chunks, s.single = chunks, single
+	s.proto, s.chunks = proto, ringHonest(proto, s.Scheduler)
 	return tryRegister(s)
 }
 
@@ -50,9 +47,8 @@ func RegisterRingAttackScenario(s Scenario, proto ring.Protocol, family, mode st
 	if s.Scheduler == "" {
 		s.Scheduler = SchedFIFO
 	}
-	chunks, single := ringFamilyAttack(proto, family, mode)
 	s.proto, s.family, s.mode = proto, family, mode
-	s.chunks, s.single = chunks, single
+	s.chunks = ringFamilyAttack(proto, family, mode)
 	return tryRegister(s)
 }
 

@@ -18,7 +18,7 @@ func TestArenaResetBitIdenticalAcrossRingScenarios(t *testing.T) {
 	arena := sim.NewArena()
 	ran := 0
 	for _, s := range All() {
-		if s.single == nil {
+		if s.proto == nil {
 			continue
 		}
 		p := s.params(Opts{})

@@ -53,7 +53,8 @@ type Opts struct {
 	// one (0 keeps the scenario default; the attack's own default rules
 	// apply when that is also 0).
 	K int
-	// Target overrides the leader the coalition tries to force.
+	// Target overrides the leader the coalition tries to force; on an
+	// attack scenario a nonzero target must lie in [1, n].
 	Target int64
 	// Progress, if non-nil, receives deterministic snapshots of the
 	// accumulating distribution as the batch runs: the engine delivers
@@ -93,18 +94,12 @@ type params struct {
 	arenas  *engine.ArenaPool
 }
 
-type (
-	// chunksFunc builds the scenario's canonical chunked engine job for one
-	// (seed, params) configuration. The job must derive every per-trial
-	// result from the trial index alone, so any sub-range run through
-	// engine.RunRange contributes exactly its trials' shard to the batch —
-	// the property remote chunk claiming (Scenario.RunShard) relies on.
-	chunksFunc func(seed int64, p params) (engine.ChunkJob, error)
-	// singleFunc runs one execution under an explicit scheduler and an
-	// optional recycled arena; only ring-topology scenarios provide it
-	// (the schedule-independence property is a ring claim).
-	singleFunc func(seed int64, sched sim.Scheduler, p params, arena *sim.Arena) (sim.Result, error)
-)
+// chunksFunc builds the scenario's canonical chunked engine job for one
+// (seed, params) configuration. The job must derive every per-trial result
+// from the trial index alone, so any sub-range run through engine.RunRange
+// contributes exactly its trials' shard to the batch — the property remote
+// chunk claiming (Scenario.RunShard) relies on.
+type chunksFunc func(seed int64, p params) (engine.ChunkJob, error)
 
 // Scenario is one named, runnable configuration.
 type Scenario struct {
@@ -139,12 +134,11 @@ type Scenario struct {
 	Note string
 
 	chunks chunksFunc
-	single singleFunc
 
 	// proto is the underlying ring protocol for ring-simulator topologies
-	// ("ring", "wakeup"); deviation sweeps plan attacks against it. Nil
-	// for topologies with their own runtimes (complete, trees,
-	// synchronous models).
+	// ("ring", "wakeup"); single executions and deviation sweeps run
+	// against it. Nil for topologies with their own runtimes (complete,
+	// trees, synchronous models).
 	proto ring.Protocol
 	// family and mode name the registered DeviationFamily (and its
 	// variant) behind an attack scenario's run; empty for honest
@@ -180,17 +174,31 @@ func (s Scenario) params(o Opts) params {
 }
 
 // runParams resolves the caller's overrides for a run, rejecting a
-// scenario that is not runnable (the zero Scenario has no chunked job) and
-// sizes below MinN.
+// scenario that is not runnable (the zero Scenario has no chunked job),
+// sizes below MinN, and an attack target that is not a leader of the
+// resolved ring. Every run path resolves through it.
 func (s Scenario) runParams(o Opts) (params, error) {
 	if s.chunks == nil {
 		return params{}, fmt.Errorf("scenario: %q is not runnable", s.Name)
 	}
 	p := s.params(o)
-	if p.N < s.MinN {
+	switch {
+	case p.N < s.MinN:
 		return p, fmt.Errorf("scenario: %s needs n ≥ %d, got %d", s.Name, s.MinN, p.N)
+	case p.Trials < 1:
+		return p, fmt.Errorf("scenario: %s needs ≥ 1 trial, got %d", s.Name, p.Trials)
+	case s.Attack != "" && p.Target != 0 && (p.Target < 1 || p.Target > int64(p.N)):
+		return p, fmt.Errorf("scenario: %s: target %d out of range [1,%d]", s.Name, p.Target, p.N)
 	}
 	return p, nil
+}
+
+// Check reports the error RunOpts would reject the overrides with before
+// running anything, or nil. A daemon checks a request with it at submit
+// time.
+func (s Scenario) Check(o Opts) error {
+	_, err := s.runParams(o)
+	return err
 }
 
 // Outcome is the uniform result of one scenario run.
@@ -239,9 +247,6 @@ func (s Scenario) RunOpts(ctx context.Context, seed int64, o Opts) (*Outcome, er
 	if err != nil {
 		return nil, err
 	}
-	if p.Trials < 1 {
-		return nil, fmt.Errorf("scenario: %s needs ≥ 1 trial, got %d", s.Name, p.Trials)
-	}
 	dist, err := s.batch(ctx, seed, p)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %s: %w", s.Name, err)
@@ -254,15 +259,34 @@ func (s Scenario) RunOpts(ctx context.Context, seed int64, o Opts) (*Outcome, er
 // single-execution ring configurations (trees, complete graphs, synchronous
 // models).
 func (s Scenario) SingleRun(seed int64, sched sim.Scheduler, o Opts) (res sim.Result, ok bool, err error) {
-	if s.single == nil {
+	if s.proto == nil {
 		return sim.Result{}, false, nil
 	}
-	p := s.params(o)
-	if p.N < s.MinN {
-		return sim.Result{}, true, fmt.Errorf("scenario: %s needs n ≥ %d, got %d", s.Name, s.MinN, p.N)
+	p, err := s.runParams(o)
+	if err != nil {
+		return sim.Result{}, true, err
 	}
 	res, err = s.single(seed, sched, p, nil)
 	return res, true, err
+}
+
+// single runs one execution of a ring scenario under seed, on an optional
+// recycled arena: the honest protocol, or the scenario's own deviation
+// family planned under seed, exactly as trial t of a batch runs under trial
+// t's seed.
+func (s Scenario) single(seed int64, sched sim.Scheduler, p params, arena *sim.Arena) (sim.Result, error) {
+	spec := ring.Spec{N: p.N, Protocol: s.proto, Seed: seed, Scheduler: sched}
+	if s.family != "" {
+		proto, atk, err := planFamily(s.proto, DeviationCandidate{Family: s.family, K: p.K, Mode: s.mode}, p.N)
+		if err != nil {
+			return sim.Result{}, err
+		}
+		if spec.Deviation, err = atk.Plan(p.N, p.Target, seed); err != nil {
+			return sim.Result{}, &ring.PlanError{Attack: atk.Name(), N: p.N, Err: err}
+		}
+		spec.Protocol = proto
+	}
+	return ring.RunArena(spec, arena)
 }
 
 // RunShard runs logical trials [start, end) of the batch RunOpts(seed, o)

@@ -25,7 +25,7 @@ func TestScheduleIndependenceOnRings(t *testing.T) {
 	covered := 0
 	for _, s := range All() {
 		s := s
-		if s.single == nil {
+		if s.proto == nil {
 			continue // non-ring topology: the claim does not apply
 		}
 		// Scheduler variants of the same configuration would re-test the
@@ -120,7 +120,7 @@ func TestRingHonestLanesOnlyFIFO(t *testing.T) {
 		runs  int64
 	}{{SchedFIFO, 2}, {SchedLIFO, 0}, {SchedRandom, 0}} {
 		spy := laneSpy{runs: new(atomic.Int64)}
-		chunks, _ := ringHonest(spy, c.sched)
+		chunks := ringHonest(spy, c.sched)
 		job, err := chunks(11, params{N: 16})
 		if err != nil {
 			t.Fatal(err)

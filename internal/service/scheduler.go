@@ -44,25 +44,17 @@ func (r JobRequest) key(sc scenario.Scenario, version string) string {
 }
 
 // validate applies the submit-time checks that make batch rejection whole:
-// the request's resolved parameters must be runnable at all and its trial
-// count bounded, mirroring the size/trial validation RunOpts would fail
-// with mid-batch.
+// the request's resolved parameters must pass the scenario's own run check
+// (scenario.Scenario.Check, the one RunOpts applies) and its trial count
+// must be bounded.
 func (r JobRequest) validate(sc scenario.Scenario, maxTrials int) error {
-	n, trials := sc.N, sc.Trials
-	if r.N > 0 {
-		n = r.N
-	}
-	if r.Trials > 0 {
-		trials = r.Trials
-	}
-	switch {
-	case r.N < 0 || r.Trials < 0:
+	if r.N < 0 || r.Trials < 0 {
 		return fmt.Errorf("%s: negative override (n=%d trials=%d)", sc.Name, r.N, r.Trials)
-	case n < sc.MinN:
-		return fmt.Errorf("%s needs n ≥ %d, got %d", sc.Name, sc.MinN, n)
-	case trials < 1:
-		return fmt.Errorf("%s needs ≥ 1 trial, got %d", sc.Name, trials)
-	case trials > maxTrials:
+	}
+	if err := sc.Check(r.opts()); err != nil {
+		return err
+	}
+	if _, trials := sc.Resolve(r.opts()); trials > maxTrials {
 		return fmt.Errorf("%s: %d trials exceeds the per-job bound %d", sc.Name, trials, maxTrials)
 	}
 	return nil

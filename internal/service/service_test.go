@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -558,6 +559,41 @@ func TestSubmitRejectsInvalidParamsWhole(t *testing.T) {
 	}
 	if st := srv.Scheduler().Stats(); st.Jobs.Submitted != 0 {
 		t.Fatalf("rejected batches still recorded %d submissions", st.Jobs.Submitted)
+	}
+}
+
+// TestSubmitRejectsOutOfRangeTarget pins the submit-time target check: on
+// every registered attack scenario, a target that is not a leader of the
+// resolved ring (n+1, and −1) answers POST /jobs with 400, so no job is
+// accepted whose run could only fail or summarize a leader that cannot
+// exist.
+func TestSubmitRejectsOutOfRangeTarget(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	checked := 0
+	for _, sc := range scenario.All() {
+		if sc.Attack == "" {
+			continue
+		}
+		checked++
+		for _, target := range []int64{int64(sc.N) + 1, -1} {
+			body, err := json.Marshal(map[string][]JobRequest{
+				"jobs": {{Scenario: sc.Name, Trials: 1, Target: target, Seed: 1}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/jobs", bytes.NewReader(body)))
+			if w.Code != http.StatusBadRequest {
+				t.Errorf("%s target=%d: POST /jobs answered %d %s, want 400", sc.Name, target, w.Code, w.Body)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no attack scenarios registered")
+	}
+	if st := srv.Scheduler().Stats(); st.Jobs.Submitted != 0 {
+		t.Fatalf("rejected submissions still recorded %d jobs", st.Jobs.Submitted)
 	}
 }
 
