@@ -14,15 +14,16 @@ test:
 
 # race runs the race detector over the concurrent layers, including
 # internal/conc, which runs one goroutine per processor, and the lane
-# runners every engine worker keeps on its arena: the A-LEADuni and
-# PhaseAsyncLead lane strategies (internal/protocols/alead,
-# internal/protocols/phaselead, internal/committee) and the attack plans a
-# lane worker reuses across blocks (internal/attacks). The equilibrium
-# package runs with -short: its full-catalog and phase-lead tightness sweeps
-# take minutes under the detector and exercise no sweep concurrency the
-# short tests miss; the nightly full-tree race still runs them.
+# runners every engine worker keeps on its arena: the A-LEADuni, Basic-LEAD
+# and PhaseAsyncLead lane strategies (internal/protocols/alead,
+# internal/protocols/basiclead, internal/protocols/phaselead,
+# internal/committee) and the attack plans a lane worker reuses across
+# blocks (internal/attacks). The equilibrium package runs with -short: its
+# full-catalog and phase-lead tightness sweeps take minutes under the
+# detector and exercise no sweep concurrency the short tests miss; the
+# nightly full-tree race still runs them.
 race:
-	$(GO) test -race ./internal/engine/ ./internal/ring/ ./internal/cointoss/ ./internal/scenario/ ./internal/service/ ./internal/popproto/ ./internal/conc/ ./internal/protocols/alead/ ./internal/protocols/phaselead/ ./internal/attacks/ ./internal/committee/
+	$(GO) test -race ./internal/engine/ ./internal/ring/ ./internal/cointoss/ ./internal/scenario/ ./internal/service/ ./internal/popproto/ ./internal/conc/ ./internal/protocols/alead/ ./internal/protocols/basiclead/ ./internal/protocols/phaselead/ ./internal/attacks/ ./internal/committee/
 	$(GO) test -race -short ./internal/equilibrium/
 
 # docs-check is the documentation floor: vet must be clean, every package
@@ -41,19 +42,20 @@ docs-check:
 # single added branch in either would cost every message a call frame
 # without failing any test. Lane messages carry most batch and certificate
 # trials, so Send must inline at every ctx.Send line of the lane sources, not
-# just somewhere in their packages: the A-LEADuni lane strategies
-# (alead/lanes.go), and the slot send in internal/ring (ring/lanes.go), which
+# just somewhere in their packages: the row sends of the sum-ring lane
+# kernel (ring/sumlanes.go), which every A-LEADuni and Basic-LEAD lane
+# message takes, and the slot send in internal/ring (ring/lanes.go), which
 # every PhaseAsyncLead and coalition lane message passes through. CI runs
 # this in the verify job.
-LANE_SRCS := internal/protocols/alead/lanes.go internal/ring/lanes.go
+LANE_SRCS := internal/ring/sumlanes.go internal/ring/lanes.go
 inline-check:
-	@$(GO) build -gcflags=-m ./internal/protocols/alead ./internal/protocols/phaselead 2>&1 | \
+	@$(GO) build -gcflags=-m ./internal/protocols/alead ./internal/protocols/basiclead ./internal/protocols/phaselead 2>&1 | \
 		grep -q 'inlining call to sim.(\*Context).Send' || \
 		{ echo "inline-check: sim.(*Context).Send is no longer inlined" >&2; exit 1; }
 	@for src in $(LANE_SRCS); do \
 		want=$$(grep -n '^[^/]*ctx\.Send(' $$src | cut -d: -f1 | sort -u | tr '\n' ' '); \
 		got=$$($(GO) build -gcflags=-m ./$$(dirname $$src) 2>&1 | \
-			sed -n 's/.*lanes\.go:\([0-9]*\):[0-9]*: inlining call to sim\.(\*Context)\.Send$$/\1/p' | sort -u | tr '\n' ' '); \
+			sed -n 's|^'"$$src"':\([0-9]*\):[0-9]*: inlining call to sim\.(\*Context)\.Send$$|\1|p' | sort -u | tr '\n' ' '); \
 		[ -n "$$want" ] && [ "$$want" = "$$got" ] || \
 			{ echo "inline-check: $$src sends on lines $$want; Context.Send inlines on lines $$got" >&2; exit 1; }; \
 	done

@@ -256,13 +256,23 @@ func BenchmarkALeadHonest(b *testing.B) {
 // ring.Lanes of them): the lane layer's counterpart of the kernel's
 // per-message cost. BenchmarkALeadHonest, which times scalar ring.Run
 // trials, is its control.
-func BenchmarkALeadBatch(b *testing.B) {
+func BenchmarkALeadBatch(b *testing.B) { benchSumLanes(b, alead.New()) }
+
+// BenchmarkBasicLeadBatch is BenchmarkALeadBatch for Basic-LEAD, the other
+// protocol on the sum-ring lane kernel. BenchmarkBasicLeadHonest is its
+// control.
+func BenchmarkBasicLeadBatch(b *testing.B) { benchSumLanes(b, basiclead.New()) }
+
+// benchSumLanes times 64-trial honest batches of a sum ring on one worker
+// at n = 64 and n = 1024, reporting ns per trial and ns per delivered lane
+// message.
+func benchSumLanes(b *testing.B, proto ring.Protocol) {
 	const trials = 64
 	for _, n := range []int{64, 1024} {
 		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
 			msgs := 0
 			for i := 0; i < b.N; i++ {
-				d, err := ring.TrialsOpts(context.Background(), ring.Spec{N: n, Protocol: alead.New(), Seed: int64(i)},
+				d, err := ring.TrialsOpts(context.Background(), ring.Spec{N: n, Protocol: proto, Seed: int64(i)},
 					trials, ring.TrialOptions{Workers: 1})
 				if err != nil {
 					b.Fatal(err)

@@ -20,16 +20,17 @@
 // simulated as its own tiny network, so the per-event cost is bounded by the
 // active group's size, never by n: idle groups cost zero.
 //
-// With A-LEADuni groups, a Runner simulates every block of up to
-// alead.Lanes (16) consecutive honest groups of one size as one lane
-// execution (ring.LaneRunner): a single ring whose messages carry one value
-// per group, which pays the kernel's per-message cost once for the block. An
-// honest A-LEADuni schedule does not depend on its values, so each lane's
-// result is exactly that group's scalar run; the differential tests pin the
-// composed trial against a composition of per-group scalar runs. A size's
-// last block may be partial (4 of 100 groups at n = 10⁴): it runs padded,
-// and its unused lanes are never folded. A group runs alone only when it is
-// its size's only group, or when it is the attacked group.
+// Under either inner discipline, a Runner simulates every block of up to
+// ring.Lanes (16) consecutive honest groups of one size as one lane
+// execution (ring.LaneRunner over the inner protocol's sum-ring lane
+// vector): a single ring that carries one execution per group, which pays
+// the kernel's per-message cost once for the block. An honest sum ring's
+// schedule does not depend on its values, so each lane's result is exactly
+// that group's scalar run; the differential tests pin the composed trial
+// against a composition of per-group scalar runs. A size's last block may
+// be partial (4 of 100 groups at n = 10⁴): it runs padded, and its unused
+// lanes are never folded. A group runs alone only when it is its size's
+// only group, or when it is the attacked group.
 //
 // The composition inherits the inner protocol's resilience. With Basic-LEAD
 // groups, the single delegate-rush adversary (see Election.AttackRunner)
@@ -231,16 +232,16 @@ func (e *Election) runner(target int64) (*Runner, error) {
 			return nil, fmt.Errorf("committee: inner strategies: %w", err)
 		}
 	}
-	if e.inner == InnerALead {
+	if lp, ok := e.proto.(ring.LaneProtocol); ok {
 		// Lane runners for every size with at least two groups: a lone
 		// group runs faster alone than as a padded lane block.
 		if e.g-rem >= 2 {
-			if r.lanesSmall, err = ring.NewLaneRunner(alead.New(), base, false); err != nil {
+			if r.lanesSmall, err = ring.NewLaneRunner(lp, base, false); err != nil {
 				return nil, fmt.Errorf("committee: inner lanes: %w", err)
 			}
 		}
 		if rem >= 2 {
-			if r.lanesBig, err = ring.NewLaneRunner(alead.New(), base+1, false); err != nil {
+			if r.lanesBig, err = ring.NewLaneRunner(lp, base+1, false); err != nil {
 				return nil, fmt.Errorf("committee: inner lanes: %w", err)
 			}
 		}
@@ -294,8 +295,8 @@ type Runner struct {
 	l2         []sim.Strategy
 	winners    []int64
 
-	// Lane runners for blocks of up to alead.Lanes consecutive honest
-	// groups of one size (InnerALead only; nil for a size with one group).
+	// Lane runners for blocks of up to ring.Lanes consecutive honest
+	// groups of one size (nil for a size with one group).
 	lanesBig, lanesSmall *ring.LaneRunner
 
 	// Attack state; target 0 means honest.
@@ -312,17 +313,17 @@ func (r *Runner) Winners() []int64 { return r.winners }
 
 // Run executes one composed trial: the g in-group elections in group order,
 // then the delegate circulation, composing the sub-results into one
-// sim.Result. Under InnerALead every block of up to alead.Lanes consecutive
-// honest groups of one size runs as one lane execution, which returns
-// exactly the results of the block's scalar group runs; a size's only group,
-// and an attacked group, run alone (see laneBlock). Sub-elections fail fast
-// — the first failing group's reason becomes the trial's reason, with
-// message counters covering the groups up to and including it. The
-// announcement traffic of a successful trial (g delegate reports plus the
-// ring-wide broadcast of the final leader) carries no election-relevant
-// choices, so it is accounted analytically rather than simulated. The
-// returned Result has nil Outputs/Statuses: per-processor state of a
-// composed trial lives in the sub-networks.
+// sim.Result. Every block of up to ring.Lanes consecutive honest groups of
+// one size runs as one lane execution, which returns exactly the results of
+// the block's scalar group runs; a size's only group, and an attacked group,
+// run alone (see laneBlock). Sub-elections fail fast — the first failing
+// group's reason becomes the trial's reason, with message counters covering
+// the groups up to and including it. The announcement traffic of a
+// successful trial (g delegate reports plus the ring-wide broadcast of the
+// final leader) carries no election-relevant choices, so it is accounted
+// analytically rather than simulated. The returned Result has nil
+// Outputs/Statuses: per-processor state of a composed trial lives in the
+// sub-networks.
 func (r *Runner) Run(trialSeed int64) (sim.Result, error) {
 	e := r.e
 	var agg sim.Result
@@ -330,11 +331,11 @@ func (r *Runner) Run(trialSeed int64) (sim.Result, error) {
 		if lanes, arena, count := r.laneBlock(j); lanes != nil {
 			// A partial block's unused lanes run under seed 0 and are
 			// never folded.
-			var seeds [alead.Lanes]int64
+			var seeds [ring.Lanes]int64
 			for l := range count {
 				seeds[l] = GroupSeed(trialSeed, j+l)
 			}
-			// Honest A-LEADuni lanes never diverge: their one
+			// Honest sum-ring lanes never diverge: their one
 			// value-dependent decision ends a processor either way.
 			block, _, err := lanes.Run(arena, seeds, nil)
 			if err != nil {
@@ -397,7 +398,7 @@ func (r *Runner) Run(trialSeed int64) (sim.Result, error) {
 }
 
 // laneBlock returns the lane runner and arena for the block starting at
-// group j, and the number of groups it covers: up to alead.Lanes consecutive
+// group j, and the number of groups it covers: up to ring.Lanes consecutive
 // groups of j's size, stopping short of the attacked group. It returns a nil
 // runner when group j runs alone: its size has no lane runner, or it is the
 // attacked group.
@@ -416,7 +417,7 @@ func (r *Runner) laneBlock(j int) (*ring.LaneRunner, *sim.Arena, int) {
 	if lanes == nil || j == end {
 		return nil, nil, 0
 	}
-	return lanes, arena, min(end-j, alead.Lanes)
+	return lanes, arena, min(end-j, ring.Lanes)
 }
 
 // fold adds group j's result to the trial aggregate and records its winner.

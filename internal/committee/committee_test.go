@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/attacks"
-	"repro/internal/protocols/alead"
 	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -340,30 +339,32 @@ func TestRunnerMatchesScalarComposition(t *testing.T) {
 }
 
 // TestWarmRunnerAllocBudget pins the honest runner's steady state at zero
-// allocations per trial, at sizes whose groups run as lane blocks: whole
-// (256), whole plus a padded tail of 4 (400), and six whole plus a padded
-// tail of 4 (10⁴). A lane path that allocated per group or per block would
-// fail here.
+// allocations per trial under both inner disciplines, at sizes whose groups
+// run as lane blocks: whole (256), whole plus a padded tail of 4 (400), and
+// six whole plus a padded tail of 4 (10⁴). A lane path that allocated per
+// group or per block would fail here.
 func TestWarmRunnerAllocBudget(t *testing.T) {
-	for _, n := range []int{256, 400, 10000} {
-		e, err := New(n, InnerALead)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e.Groups() < alead.Lanes {
-			t.Fatalf("n=%d has no whole lane block", n)
-		}
-		r := e.Runner()
-		seed := int64(0)
-		trial := func() {
-			seed++
-			if res, err := r.Run(seed); err != nil || res.Failed {
-				t.Fatalf("n=%d trial %d: failed=%v err=%v", n, seed, res.Failed, err)
+	for _, inner := range []string{InnerBasic, InnerALead} {
+		for _, n := range []int{256, 400, 10000} {
+			e, err := New(n, inner)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		trial() // warm the arenas: the first trial builds the networks
-		if got := testing.AllocsPerRun(10, trial); got > 0 {
-			t.Errorf("n=%d: warm runner allocates %.1f allocs per trial, budget 0", n, got)
+			if e.Groups() < ring.Lanes {
+				t.Fatalf("n=%d has no whole lane block", n)
+			}
+			r := e.Runner()
+			seed := int64(0)
+			trial := func() {
+				seed++
+				if res, err := r.Run(seed); err != nil || res.Failed {
+					t.Fatalf("%s n=%d trial %d: failed=%v err=%v", inner, n, seed, res.Failed, err)
+				}
+			}
+			trial() // warm the arenas: the first trial builds the networks
+			if got := testing.AllocsPerRun(10, trial); got > 0 {
+				t.Errorf("%s n=%d: warm runner allocates %.1f allocs per trial, budget 0", inner, n, got)
+			}
 		}
 	}
 }

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -107,6 +109,29 @@ func RunBatch[S any](ctx context.Context, trials int, job ChunkJob, sink Sink[S]
 	return merged, nil
 }
 
+// PanicError is the error of an InOrder item that panicked: InOrder
+// recovers the panic on the item's lane, and the item fails with it like
+// any other error.
+type PanicError struct {
+	// Value is what the item panicked with.
+	Value any
+	// Stack is the panicking goroutine's stack, as debug.Stack prints it.
+	Stack []byte
+}
+
+// Error implements error.
+func (e *PanicError) Error() string { return fmt.Sprintf("engine: item panicked: %v", e.Value) }
+
+// runItem runs item i, recovering a panic into a *PanicError.
+func runItem[T any](ctx context.Context, item func(context.Context, int) (T, error), i int) (v T, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &PanicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	return item(ctx, i)
+}
+
 // outcome is one finished InOrder item, parked until the frontier folds it.
 type outcome[T any] struct {
 	v     T
@@ -128,7 +153,9 @@ type outcome[T any] struct {
 // a stop are discarded, failures included. After ctx is canceled nothing
 // more is folded and ctx.Err() is returned. The context handed to items is
 // canceled once the outcome is known, so items in flight past it can give
-// up early; InOrder returns only after every lane has.
+// up early; InOrder returns only after every lane has. An item that panics
+// fails with a *PanicError, so a panic follows the same rule and no lane
+// dies of it.
 func InOrder[T any](ctx context.Context, m, workers int,
 	run func(lane int) func(ctx context.Context, i int) (T, error),
 	fold func(i int, v T) (stop bool)) error {
@@ -161,7 +188,7 @@ func InOrder[T any](ctx context.Context, m, workers int,
 			if int64(i) >= end.Load() || ctx.Err() != nil {
 				return
 			}
-			v, e := item(itemCtx, i)
+			v, e := runItem(itemCtx, item, i)
 			mu.Lock()
 			got[i] = outcome[T]{v, e, true}
 			if e != nil && int64(i) < end.Load() {

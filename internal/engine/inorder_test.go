@@ -93,6 +93,49 @@ func TestInOrderLowestFailureWins(t *testing.T) {
 	}
 }
 
+// TestInOrderPanicIsItemError: item 5 panics while later items are still
+// running. At every lane count the call returns the same *PanicError,
+// carrying the panic value and the panicking stack, after folding exactly
+// items 0 to 4, and no lane dies of the panic.
+func TestInOrderPanicIsItemError(t *testing.T) {
+	const m = 12
+	var first string
+	for _, workers := range []int{1, 2, 8} {
+		var active atomic.Int32
+		items := reverseItems(m, &active)
+		run := func(lane int) func(context.Context, int) (int, error) {
+			item := items(lane)
+			return func(ctx context.Context, i int) (int, error) {
+				if i == 5 {
+					panic("item 5 panicked")
+				}
+				return item(ctx, i)
+			}
+		}
+		var folded []int
+		err := InOrder(context.Background(), m, workers, run, func(i, _ int) bool {
+			folded = append(folded, i)
+			return false
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Value != "item 5 panicked" ||
+			!bytes.Contains(pe.Stack, []byte("TestInOrderPanicIsItemError")) {
+			t.Fatalf("workers=%d: err = %v, want item 5's panic with its stack", workers, err)
+		}
+		if first == "" {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Errorf("workers=%d: err = %q, want %q as at one worker", workers, err, first)
+		}
+		if !slices.Equal(folded, []int{0, 1, 2, 3, 4}) {
+			t.Errorf("workers=%d: folded %v, want [0 1 2 3 4]", workers, folded)
+		}
+		if n := active.Load(); n != 0 {
+			t.Errorf("workers=%d: %d items still running after return", workers, n)
+		}
+	}
+}
+
 // TestInOrderFailurePastStopIsNoFailure: fold stops after item 1, and item
 // 2 fails before item 0 finishes. The call returns nil, as a sequential
 // loop would, having folded items 0 and 1 only.

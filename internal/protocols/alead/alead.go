@@ -28,7 +28,7 @@ import (
 // Protocol is A-LEADuni. The zero value is ready to use.
 type Protocol struct{}
 
-var _ ring.Protocol = Protocol{}
+var _ ring.LaneProtocol = Protocol{}
 
 // New returns the A-LEADuni protocol.
 func New() Protocol { return Protocol{} }
@@ -39,6 +39,13 @@ func (Protocol) Name() string { return "A-LEADuni" }
 // BatchSafe marks the protocol's strategies as fully re-initialized by Init,
 // so one strategy vector can serve every trial of an engine chunk.
 func (Protocol) BatchSafe() {}
+
+// LaneStrategies implements ring.LaneProtocol: ring's sum-ring lane vector
+// with the origin forwarding and every other processor buffering one
+// secret, as in Strategies (see ring.SumLanes).
+func (Protocol) LaneStrategies(n int, st *ring.LaneState, coalition bool) ([]sim.Strategy, error) {
+	return ring.SumLanes(n, st, coalition, true)
+}
 
 // Strategies implements ring.Protocol: processor 1 is the origin, the rest
 // are normal (buffering) processors.

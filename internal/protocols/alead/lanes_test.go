@@ -5,27 +5,33 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/protocols/basiclead"
 	"repro/internal/ring"
 	"repro/internal/sim"
 )
 
+// sumRings are the protocols whose lane form is ring's sum-ring kernel
+// (ring.SumLanes): A-LEADuni, whose normal processors buffer one secret,
+// and Basic-LEAD, whose processors all forward. The lane tests run both.
+var sumRings = []ring.LaneProtocol{New(), basiclead.New()}
+
 // laneSeeds returns block b's lane seeds, spread over the seed space.
-func laneSeeds(b int) [Lanes]int64 {
-	var seeds [Lanes]int64
+func laneSeeds(b int) [ring.Lanes]int64 {
+	var seeds [ring.Lanes]int64
 	for l := range seeds {
 		seeds[l] = int64(sim.Mix64(uint64(b), uint64(l)))
 	}
 	return seeds
 }
 
-// laneVec builds the honest lane vector for rings of n processors on a
+// laneVec builds p's honest lane vector for rings of n processors on a
 // fresh lane state, for tests that run it on a network of their own.
-func laneVec(t *testing.T, n int) (*ring.LaneState, []sim.Strategy) {
+func laneVec(t *testing.T, p ring.LaneProtocol, n int) (*ring.LaneState, []sim.Strategy) {
 	t.Helper()
 	st := ring.NewLaneState(n)
-	vec, err := Protocol{}.LaneStrategies(n, st, false)
-	if err != nil {
-		t.Fatal(err)
+	vec, err := p.LaneStrategies(n, st, false)
+	if err != nil || vec == nil {
+		t.Fatalf("%s n=%d: no lane vector: %v", p.Name(), n, err)
 	}
 	return st, vec
 }
@@ -33,28 +39,30 @@ func laneVec(t *testing.T, n int) (*ring.LaneState, []sim.Strategy) {
 // TestLanesMatchScalar is the lane form's differential test: every lane's
 // full Result must equal the scalar ring.RunArena run under the lane's seed.
 func TestLanesMatchScalar(t *testing.T) {
-	for _, n := range []int{2, 3, 5, 16, 100, 257} {
-		lr, err := ring.NewLaneRunner(New(), n, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		laneArena, scalarArena := sim.NewArena(), sim.NewArena()
-		for b := 0; b < 4; b++ {
-			seeds := laneSeeds(b)
-			got, ok, err := lr.Run(laneArena, seeds, nil)
-			if err != nil || !ok {
-				t.Fatalf("n=%d block %d: ok=%v, %v", n, b, ok, err)
+	for _, p := range sumRings {
+		for _, n := range []int{2, 3, 5, 16, 100, 257} {
+			lr, err := ring.NewLaneRunner(p, n, false)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if len(got) != Lanes {
-				t.Fatalf("n=%d: %d results, want %d", n, len(got), Lanes)
-			}
-			for l, seed := range seeds {
-				want, err := ring.RunArena(ring.Spec{N: n, Protocol: New(), Seed: seed}, scalarArena)
-				if err != nil {
-					t.Fatal(err)
+			laneArena, scalarArena := sim.NewArena(), sim.NewArena()
+			for b := 0; b < 4; b++ {
+				seeds := laneSeeds(b)
+				got, ok, err := lr.Run(laneArena, seeds, nil)
+				if err != nil || !ok {
+					t.Fatalf("%s n=%d block %d: ok=%v, %v", p.Name(), n, b, ok, err)
 				}
-				if g, w := got[l].Clone(), want.Clone(); !reflect.DeepEqual(g, w) {
-					t.Fatalf("n=%d block %d lane %d: lanes %+v, scalar %+v", n, b, l, g, w)
+				if len(got) != ring.Lanes {
+					t.Fatalf("%s n=%d: %d results, want %d", p.Name(), n, len(got), ring.Lanes)
+				}
+				for l, seed := range seeds {
+					want, err := ring.RunArena(ring.Spec{N: n, Protocol: p, Seed: seed}, scalarArena)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if g, w := got[l].Clone(), want.Clone(); !reflect.DeepEqual(g, w) {
+						t.Fatalf("%s n=%d block %d lane %d: lanes %+v, scalar %+v", p.Name(), n, b, l, g, w)
+					}
 				}
 			}
 		}
@@ -66,145 +74,199 @@ func TestLanesMatchScalar(t *testing.T) {
 // the same budget, running processors included.
 func TestLanesStepLimitFailsEveryLane(t *testing.T) {
 	const n = 16
-	st, vec := laneVec(t, n)
-	for _, limit := range []int{1, n*n/2 + 3, n*n - 1} {
-		seeds := laneSeeds(limit)
-		st.Seeds = seeds
-		net, err := sim.New(sim.Config{Strategies: vec, Edges: sim.RingEdges(n), StepLimit: limit})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := st.Split(net.Run())
-		for l, seed := range seeds {
-			want, err := ring.Run(ring.Spec{N: n, Protocol: New(), Seed: seed, StepLimit: limit})
+	for _, p := range sumRings {
+		st, vec := laneVec(t, p, n)
+		for _, limit := range []int{1, n*n/2 + 3, n*n - 1} {
+			seeds := laneSeeds(limit)
+			st.Seeds = seeds
+			net, err := sim.New(sim.Config{Strategies: vec, Edges: sim.RingEdges(n), StepLimit: limit})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want.Reason != sim.FailStepLimit {
-				t.Fatalf("limit %d: scalar reason %v, want step-limit", limit, want.Reason)
-			}
-			if !reflect.DeepEqual(got[l].Clone(), want.Clone()) {
-				t.Fatalf("limit %d lane %d: lanes %+v, scalar %+v", limit, l, got[l], want)
+			got := st.Split(net.Run())
+			for l, seed := range seeds {
+				want, err := ring.Run(ring.Spec{N: n, Protocol: p, Seed: seed, StepLimit: limit})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want.Reason != sim.FailStepLimit {
+					t.Fatalf("%s limit %d: scalar reason %v, want step-limit", p.Name(), limit, want.Reason)
+				}
+				if !reflect.DeepEqual(got[l].Clone(), want.Clone()) {
+					t.Fatalf("%s limit %d lane %d: lanes %+v, scalar %+v", p.Name(), limit, l, got[l], want)
+				}
 			}
 		}
 	}
 }
 
-// inFlight is a tracer that checks the lane table's invariant: at most one
-// message is ever in flight, so two payload slots suffice. It also corrupts
-// one lane's value in the last message delivered to a chosen processor.
+// inFlight is a tracer that counts sends and deliveries and tracks the
+// most messages ever in flight at once.
 type inFlight struct {
-	n        int
-	sent     int
-	consumed int
-	maxLive  int
-
-	sh          *laneShared
-	victim      sim.ProcID
-	corruptLane int
+	sent, consumed, maxLive int
 }
 
 func (f *inFlight) OnSend(sim.ProcID, int, sim.ProcID, int64) {
 	f.sent++
-	if live := f.sent - f.consumed; live > f.maxLive {
-		f.maxLive = live
-	}
+	f.maxLive = max(f.maxLive, f.sent-f.consumed)
 }
 
-func (f *inFlight) OnDeliver(to sim.ProcID, k int, _ sim.ProcID, slot int64) {
-	f.consumed++
-	if f.sh != nil && to == f.victim && k == f.n {
-		f.sh.table[slot&1][f.corruptLane]++
-	}
-}
+func (f *inFlight) OnDeliver(sim.ProcID, int, sim.ProcID, int64) { f.consumed++ }
 
 func (f *inFlight) OnTerminate(sim.ProcID, int64, bool) {}
 
-// TestLanesOneMessageInFlight asserts the invariant the two-slot payload
-// table rests on, and the honest schedule's counts: n² sends, n²
-// deliveries, no drops.
-func TestLanesOneMessageInFlight(t *testing.T) {
-	for n := 2; n <= 257; n++ {
-		st, vec := laneVec(t, n)
-		st.Seeds = laneSeeds(n)
-		tr := &inFlight{n: n}
-		net, err := sim.New(sim.Config{Strategies: vec, Edges: sim.RingEdges(n), Tracer: tr})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := net.Run()
-		if tr.maxLive != 1 {
-			t.Fatalf("n=%d: up to %d messages in flight, want 1", n, tr.maxLive)
-		}
-		if tr.sent != n*n || res.Delivered != n*n || res.Dropped != 0 || res.Steps != n*n {
-			t.Fatalf("n=%d: sent %d, delivered %d, dropped %d, steps %d; want n² sends and deliveries, no drops",
-				n, tr.sent, res.Delivered, res.Dropped, res.Steps)
+// TestLanesHonestSchedule pins the honest lane schedule: n² sends, n²
+// deliveries and no drops, with one message in flight at a time on an
+// A-LEADuni ring and n at once on a Basic-LEAD ring, whose processors all
+// send in Init. Rows serve both, since no row changes after Init.
+func TestLanesHonestSchedule(t *testing.T) {
+	for _, p := range sumRings {
+		for n := 2; n <= 257; n++ {
+			st, vec := laneVec(t, p, n)
+			st.Seeds = laneSeeds(n)
+			tr := &inFlight{}
+			net, err := sim.New(sim.Config{Strategies: vec, Edges: sim.RingEdges(n), Tracer: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := net.Run()
+			wantLive := n
+			if _, buffered := p.(Protocol); buffered {
+				wantLive = 1
+			}
+			if tr.maxLive != wantLive {
+				t.Fatalf("%s n=%d: up to %d messages in flight, want %d", p.Name(), n, tr.maxLive, wantLive)
+			}
+			if tr.sent != n*n || res.Delivered != n*n || res.Dropped != 0 || res.Steps != n*n {
+				t.Fatalf("%s n=%d: sent %d, delivered %d, dropped %d, steps %d; want n² sends and deliveries, no drops",
+					p.Name(), n, tr.sent, res.Delivered, res.Dropped, res.Steps)
+			}
 		}
 	}
 }
 
-// TestLanesAbortIsPerLane corrupts one lane's final value at one processor:
-// that lane alone must fail with FailAbort, the processor aborted with
-// output 0, while every other lane still equals its scalar run.
+// redirect delivers row `to` in place of the row of its processor's n-th
+// receipt, the one the final check compares with the processor's own.
+type redirect struct {
+	sim.Strategy
+	n, received int
+	to          int64
+}
+
+func (r *redirect) Init(ctx *sim.Context) {
+	r.received = 0
+	r.Strategy.Init(ctx)
+}
+
+func (r *redirect) Receive(ctx *sim.Context, from sim.ProcID, row int64) {
+	if r.received++; r.received == r.n {
+		row = r.to
+	}
+	r.Strategy.Receive(ctx, from, row)
+}
+
+// TestLanesAbortIsPerLane hands one processor another processor's row as
+// its n-th receipt. The final check compares values lane by lane, so
+// exactly the lanes in which the two secrets differ must fail with
+// FailAbort, the processor aborted with output 0 and every other processor
+// as in the scalar run, while the lanes in which they agree equal their
+// scalar runs. A check that compared row indices would abort every lane.
 func TestLanesAbortIsPerLane(t *testing.T) {
-	const n, lane = 9, 5
-	for _, victim := range []sim.ProcID{1, 4, n} {
-		st, vec := laneVec(t, n)
-		seeds := laneSeeds(int(victim))
-		st.Seeds = seeds
-		tr := &inFlight{n: n, sh: vec[0].(*laneOrigin).sh, victim: victim, corruptLane: lane}
-		net, err := sim.New(sim.Config{Strategies: vec, Edges: sim.RingEdges(n), Tracer: tr})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := st.Split(net.Run())
-		for l, seed := range seeds {
-			want, err := ring.Run(ring.Spec{N: n, Protocol: New(), Seed: seed})
+	const n = 9
+	secret := func(seed int64, id sim.ProcID) int64 {
+		rng := sim.NewStream(seed, id)
+		return rng.Int63n(n)
+	}
+	for _, p := range sumRings {
+		for _, victim := range []sim.ProcID{1, 4, n} {
+			other := victim%n + 1
+			// Find a block in which the two secrets agree in some lanes
+			// and differ in others.
+			var seeds [ring.Lanes]int64
+			var differs [ring.Lanes]bool
+			for b := 0; ; b++ {
+				seeds = laneSeeds(1000*int(victim) + b)
+				same := 0
+				for l, seed := range seeds {
+					differs[l] = secret(seed, victim) != secret(seed, other)
+					if !differs[l] {
+						same++
+					}
+				}
+				if same > 0 && same < ring.Lanes {
+					break
+				}
+			}
+			st, vec := laneVec(t, p, n)
+			st.Seeds = seeds
+			vec[victim-1] = &redirect{Strategy: vec[victim-1], n: n, to: int64(other)}
+			net, err := sim.New(sim.Config{Strategies: vec, Edges: sim.RingEdges(n)})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if l != lane {
-				if !reflect.DeepEqual(got[l].Clone(), want.Clone()) {
-					t.Fatalf("victim %d lane %d: lanes %+v, scalar %+v", victim, l, got[l], want)
+			got := st.Split(net.Run())
+			for l, seed := range seeds {
+				want, err := ring.Run(ring.Spec{N: n, Protocol: p, Seed: seed})
+				if err != nil {
+					t.Fatal(err)
 				}
-				continue
-			}
-			g := got[l]
-			if !g.Failed || g.Reason != sim.FailAbort || g.Output != 0 {
-				t.Fatalf("victim %d: corrupted lane failed=%v reason=%v output=%d, want abort",
-					victim, g.Failed, g.Reason, g.Output)
-			}
-			for i := 1; i <= n; i++ {
-				wantStatus, wantOut := sim.StatusTerminated, want.Outputs[i]
-				if sim.ProcID(i) == victim {
-					wantStatus, wantOut = sim.StatusAborted, 0
+				if !differs[l] {
+					if !reflect.DeepEqual(got[l].Clone(), want.Clone()) {
+						t.Fatalf("%s victim %d lane %d: lanes %+v, scalar %+v", p.Name(), victim, l, got[l], want)
+					}
+					continue
 				}
-				if g.Statuses[i] != wantStatus || g.Outputs[i] != wantOut {
-					t.Fatalf("victim %d processor %d: %v/%d, want %v/%d",
-						victim, i, g.Statuses[i], g.Outputs[i], wantStatus, wantOut)
+				g := got[l]
+				if !g.Failed || g.Reason != sim.FailAbort || g.Output != 0 {
+					t.Fatalf("%s victim %d lane %d: failed=%v reason=%v output=%d, want abort",
+						p.Name(), victim, l, g.Failed, g.Reason, g.Output)
 				}
-			}
-			if g.Delivered != want.Delivered || g.Dropped != want.Dropped || g.Steps != want.Steps {
-				t.Fatalf("victim %d: counters %d/%d/%d, scalar %d/%d/%d", victim,
-					g.Delivered, g.Dropped, g.Steps, want.Delivered, want.Dropped, want.Steps)
+				for i := 1; i <= n; i++ {
+					wantStatus, wantOut := sim.StatusTerminated, want.Outputs[i]
+					if sim.ProcID(i) == victim {
+						wantStatus, wantOut = sim.StatusAborted, 0
+					}
+					if g.Statuses[i] != wantStatus || g.Outputs[i] != wantOut {
+						t.Fatalf("%s victim %d lane %d processor %d: %v/%d, want %v/%d",
+							p.Name(), victim, l, i, g.Statuses[i], g.Outputs[i], wantStatus, wantOut)
+					}
+				}
+				if g.Delivered != want.Delivered || g.Dropped != want.Dropped || g.Steps != want.Steps {
+					t.Fatalf("%s victim %d: counters %d/%d/%d, scalar %d/%d/%d", p.Name(), victim,
+						g.Delivered, g.Dropped, g.Steps, want.Delivered, want.Dropped, want.Steps)
+				}
 			}
 		}
 	}
 }
 
 func TestNewLaneRunnerRejectsTinyRings(t *testing.T) {
-	for _, n := range []int{-1, 0, 1} {
-		if _, err := ring.NewLaneRunner(New(), n, false); err == nil {
-			t.Fatalf("n=%d accepted", n)
+	for _, p := range sumRings {
+		for _, n := range []int{-1, 0, 1} {
+			if _, err := ring.NewLaneRunner(p, n, false); err == nil {
+				t.Fatalf("%s n=%d accepted", p.Name(), n)
+			}
 		}
 	}
 }
 
-// TestNewLaneRunnerRejectsRingsBeyondInt32 pins the int32 lane values'
-// bound: a ring whose secrets might not fit an int32 is refused before
-// anything is allocated.
-func TestNewLaneRunnerRejectsRingsBeyondInt32(t *testing.T) {
-	if _, err := ring.NewLaneRunner(New(), math.MaxInt32+1, false); err == nil {
-		t.Fatal("n = MaxInt32+1 accepted")
+// TestLaneFormStopsAt65536 pins where the packed 32-bit lane sums stay
+// exact, n(n−1) < 2³²: a ring of 65,536 processors gets a lane vector, and
+// larger rings, like a vector asked to seat a coalition, get none and no
+// error, so their blocks run scalar. No ring runs.
+func TestLaneFormStopsAt65536(t *testing.T) {
+	for _, p := range sumRings {
+		if vec, err := p.LaneStrategies(1<<16, new(ring.LaneState), false); err != nil || len(vec) != 1<<16 {
+			t.Fatalf("%s n=65536: %d lane strategies, %v; want 65536", p.Name(), len(vec), err)
+		}
+		for _, c := range []struct {
+			n         int
+			coalition bool
+		}{{1<<16 + 1, false}, {math.MaxInt32 + 1, false}, {16, true}} {
+			if vec, err := p.LaneStrategies(c.n, new(ring.LaneState), c.coalition); err != nil || vec != nil {
+				t.Fatalf("%s n=%d coalition=%v: %d lane strategies, %v; want none and no error",
+					p.Name(), c.n, c.coalition, len(vec), err)
+			}
+		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // Protocol is the Basic-LEAD protocol. The zero value is ready to use.
 type Protocol struct{}
 
-var _ ring.Protocol = Protocol{}
+var _ ring.LaneProtocol = Protocol{}
 
 // New returns the Basic-LEAD protocol.
 func New() Protocol { return Protocol{} }
@@ -29,6 +29,12 @@ func (Protocol) Name() string { return "Basic-LEAD" }
 // BatchSafe marks the protocol's strategies as fully re-initialized by Init,
 // so one strategy vector can serve every trial of an engine chunk.
 func (Protocol) BatchSafe() {}
+
+// LaneStrategies implements ring.LaneProtocol: ring's sum-ring lane vector
+// with every processor forwarding, as in Strategies (see ring.SumLanes).
+func (Protocol) LaneStrategies(n int, st *ring.LaneState, coalition bool) ([]sim.Strategy, error) {
+	return ring.SumLanes(n, st, coalition, false)
+}
 
 // Strategies implements ring.Protocol. Every processor runs the same
 // strategy; all wake up spontaneously and send their secret immediately.

@@ -16,14 +16,15 @@ const Lanes = 16
 // allLanes has one bit per lane.
 const allLanes = 1<<Lanes - 1
 
-// LaneProtocol is a Protocol with a lane form: hand-written honest
-// strategies whose messages carry one value per lane, so that Lanes
-// executions under different seeds share one simulated ring and split back
-// into the Results their scalar runs return. The honest schedule must not
-// depend on the values, apart from aborts, which every lane of a processor
-// must take at the same step (see LaneState.Settle). HonestChunkJob and
-// AttackChunkJob run every whole block of Lanes consecutive trials of an
-// eligible chunk as one lane execution.
+// LaneProtocol is a Protocol with a lane form: honest strategies whose
+// messages stand for one value per lane (held in st's slots, or in the
+// rows of a sum ring, see SumLanes), so that Lanes executions under
+// different seeds share one simulated ring and split back into the Results
+// their scalar runs return. The honest schedule must not depend on the
+// values, apart from aborts, which every lane of a processor must take at
+// the same step (see LaneState.Settle). HonestChunkJob and AttackChunkJob
+// run every whole block of Lanes consecutive trials of an eligible chunk
+// as one lane execution.
 //
 // A LaneProtocol must be comparable: a worker's arena keeps its runner keyed
 // by the protocol value and the ring size.

@@ -13,6 +13,7 @@ import (
 	"repro/internal/attacks"
 	"repro/internal/engine"
 	"repro/internal/protocols/alead"
+	"repro/internal/protocols/basiclead"
 	"repro/internal/protocols/phaselead"
 	"repro/internal/ring"
 	"repro/internal/sim"
@@ -63,12 +64,20 @@ type noLanes struct{ ring.Protocol }
 
 func (noLanes) BatchSafe() {}
 
-// chunkResults runs trials [start, end) of job as one chunk on arena and
-// returns clones of the results it adds, in the order it adds them.
+// runChunk runs trials [start, end) of job as one chunk on arena and
+// returns clones of the results it adds, in the order it adds them, and
+// where and how the chunk failed.
+func runChunk(job engine.ChunkJob, start, end int, arena *sim.Arena) ([]sim.Result, int, error) {
+	var got []sim.Result
+	at, err := job.RunChunk(start, end, arena, func(res sim.Result) { got = append(got, res.Clone()) })
+	return got, at, err
+}
+
+// chunkResults is runChunk for a chunk that must not fail.
 func chunkResults(t *testing.T, job engine.ChunkJob, start, end int, arena *sim.Arena) []sim.Result {
 	t.Helper()
-	var got []sim.Result
-	if at, err := job.RunChunk(start, end, arena, func(res sim.Result) { got = append(got, res.Clone()) }); err != nil {
+	got, at, err := runChunk(job, start, end, arena)
+	if err != nil {
 		t.Fatalf("chunk [%d,%d): trial %d: %v", start, end, at, err)
 	}
 	return got
@@ -92,38 +101,33 @@ func scalarResults(t *testing.T, spec ring.Spec, start, end int) []sim.Result {
 }
 
 // TestHonestChunkLanesMatchScalar is the lane path's differential test:
-// every chunk of a plain A-LEADuni batch must add exactly the Results
-// per-trial RunArena returns, in trial order, with each whole block of
-// Lanes trials run as one lane execution and the rest scalar. One arena
-// serves every chunk, so a runner must be built once per ring size and
-// reused across chunks.
+// every chunk of a plain A-LEADuni or Basic-LEAD batch must add exactly the
+// Results per-trial RunArena returns, in trial order, with each whole block
+// of Lanes trials run as one lane execution and the rest scalar. One arena
+// serves every chunk, so a runner must be built once per protocol and ring
+// size and reused across chunks.
 func TestHonestChunkLanesMatchScalar(t *testing.T) {
 	const seed = 20180516
 	arena := sim.NewArena()
-	for _, n := range []int{2, 3, 16, 64, 257} {
-		spy := newSpy()
-		job := ring.HonestChunkJob(ring.Spec{N: n, Protocol: spy, Seed: seed}, nil)
-		for _, start := range []int{0, 5} {
-			for _, width := range []int{1, 15, 16, 17, 32, 33, 50} {
-				end := start + width
-				before := spy.runs.Load()
-				got := chunkResults(t, job, start, end, arena)
-				want := scalarResults(t, ring.Spec{N: n, Protocol: alead.New(), Seed: seed}, start, end)
-				if len(got) != len(want) {
-					t.Fatalf("n=%d [%d,%d): %d results, want %d", n, start, end, len(got), len(want))
-				}
-				for i := range want {
-					if !reflect.DeepEqual(got[i], want[i]) {
-						t.Fatalf("n=%d [%d,%d) trial %d: chunk %+v, scalar %+v", n, start, end, start+i, got[i], want[i])
+	for _, p := range []ring.LaneProtocol{alead.New(), basiclead.New()} {
+		for _, n := range []int{2, 3, 16, 64, 257} {
+			spy := newSpyOf(p)
+			job := ring.HonestChunkJob(ring.Spec{N: n, Protocol: spy, Seed: seed}, nil)
+			for _, start := range []int{0, 5} {
+				for _, width := range []int{1, 15, 16, 17, 32, 33, 50} {
+					end := start + width
+					what := fmt.Sprintf("%s n=%d [%d,%d)", p.Name(), n, start, end)
+					before := spy.runs.Load()
+					got := chunkResults(t, job, start, end, arena)
+					sameResults(t, what, got, scalarResults(t, ring.Spec{N: n, Protocol: p, Seed: seed}, start, end))
+					if runs := spy.runs.Load() - before; runs != int64(width/ring.Lanes) {
+						t.Fatalf("%s: %d lane executions, want %d", what, runs, width/ring.Lanes)
 					}
 				}
-				if runs := spy.runs.Load() - before; runs != int64(width/ring.Lanes) {
-					t.Fatalf("n=%d [%d,%d): %d lane executions, want %d", n, start, end, runs, width/ring.Lanes)
-				}
 			}
-		}
-		if b := spy.builds.Load(); b != 1 {
-			t.Fatalf("n=%d: built %d lane runners on one arena, want 1", n, b)
+			if b := spy.builds.Load(); b != 1 {
+				t.Fatalf("%s n=%d: built %d lane runners on one arena, want 1", p.Name(), n, b)
+			}
 		}
 	}
 }
@@ -408,9 +412,7 @@ func TestPhaseLeadLanesDeclineRunScalar(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			run := func(job engine.ChunkJob) ([]sim.Result, int, error) {
-				var got []sim.Result
-				at, err := job.RunChunk(c.start, c.end, sim.NewArena(), func(res sim.Result) { got = append(got, res.Clone()) })
-				return got, at, err
+				return runChunk(job, c.start, c.end, sim.NewArena())
 			}
 			spy := newSpyOf(c.proto)
 			ran, _ := ring.LaneBlocks()
@@ -474,4 +476,42 @@ func TestAttackLaneBatchesSharePooledArenas(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// FuzzLanesMatchScalar runs one chunk of a lane protocol's batch twice:
+// with its lane form, and with the lane form hidden. The protocol is
+// A-LEADuni, Basic-LEAD or PhaseAsyncLead, n lies in [2, 40], the chunk
+// starts in [0, 64) and is up to 48 trials wide, and a PhaseAsyncLead batch
+// may run under PhaseRushing, in any mode and at any small coalition size,
+// through AttackChunkJob. The laned chunk must add the same Results, Result
+// for Result, and end with the same error at the same trial.
+func FuzzLanesMatchScalar(f *testing.F) {
+	f.Add(uint8(0), uint8(14), int64(20180516), uint8(5), uint8(33), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(1), uint8(30), int64(-7), uint8(0), uint8(48), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(2), uint8(38), int64(3), uint8(17), uint8(32), uint8(1), uint8(0), uint8(5))
+	f.Add(uint8(2), uint8(20), int64(1), uint8(0), uint8(16), uint8(3), uint8(3), uint8(0))
+	f.Fuzz(func(t *testing.T, pick, rawN uint8, seed int64, rawStart, rawWidth, mode, k, target uint8) {
+		n := 2 + int(rawN)%39
+		start := int(rawStart) % 64
+		end := start + int(rawWidth)%49
+		phase := phaselead.NewDefault()
+		lp := []ring.LaneProtocol{alead.New(), basiclead.New(), phase}[pick%3]
+		job := func(p ring.Protocol) engine.ChunkJob {
+			return ring.HonestChunkJob(ring.Spec{N: n, Protocol: p, Seed: seed}, nil)
+		}
+		// Mode 0 runs PhaseAsyncLead honest, modes 1 to 4 under PhaseRushing.
+		if pick%3 == 2 && mode%5 > 0 {
+			atk := attacks.PhaseRushing{Protocol: phase, Mode: attacks.PhaseMode(mode % 5), K: int(k % 8)}
+			job = func(p ring.Protocol) engine.ChunkJob {
+				return ring.AttackChunkJob(n, p, atk, 1+int64(target)%int64(n), seed)
+			}
+		}
+		laned, lanedAt, lanedErr := runChunk(job(lp), start, end, sim.NewArena())
+		want, wantAt, wantErr := runChunk(job(noLanes{lp}), start, end, sim.NewArena())
+		what := fmt.Sprintf("%s n=%d seed %d [%d,%d) mode %d k %d", lp.Name(), n, seed, start, end, mode%5, k%8)
+		sameResults(t, what, laned, want)
+		if (lanedErr == nil) != (wantErr == nil) || (lanedErr != nil && (lanedAt != wantAt || lanedErr.Error() != wantErr.Error())) {
+			t.Fatalf("%s: laned chunk ended at %d with %v; scalar at %d with %v", what, lanedAt, lanedErr, wantAt, wantErr)
+		}
+	})
 }

@@ -2,11 +2,16 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // runRecovered is RunOpts with a panic reported as a test failure, so a run
-// that crashes fails the test instead of the test binary.
+// that crashes fails the test instead of the test binary. A trial that
+// panics inside the engine comes back as an *engine.PanicError, which fails
+// the test the same way.
 func runRecovered(t *testing.T, s Scenario, seed int64, o Opts) (*Outcome, error) {
 	t.Helper()
 	defer func() {
@@ -14,7 +19,12 @@ func runRecovered(t *testing.T, s Scenario, seed int64, o Opts) (*Outcome, error
 			t.Fatalf("%s %+v: RunOpts panicked: %v", s.Name, o, r)
 		}
 	}()
-	return s.RunOpts(context.Background(), seed, o)
+	out, err := s.RunOpts(context.Background(), seed, o)
+	var pe *engine.PanicError
+	if errors.As(err, &pe) {
+		t.Fatalf("%s %+v: a trial panicked: %v\n%s", s.Name, o, pe.Value, pe.Stack)
+	}
+	return out, err
 }
 
 // TestRunRejectsOutOfRangeTarget pins the target check every run path
@@ -43,6 +53,36 @@ func TestRunRejectsOutOfRangeTarget(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no attack scenarios registered")
+	}
+}
+
+// TestRunRejectsNegativeOverrides pins the override rule every run path
+// shares: zero keeps a default, and a negative n or trial count is an error
+// from RunOpts, RunShard, RunDeviation, SingleRun and Check alike, never a
+// run at the default.
+func TestRunRejectsNegativeOverrides(t *testing.T) {
+	s, ok := Find("ring/a-lead/fifo")
+	if !ok {
+		t.Fatal("ring/a-lead/fifo is not registered")
+	}
+	ctx := context.Background()
+	paths := []struct {
+		name string
+		run  func(Opts) error
+	}{
+		{"RunOpts", func(o Opts) error { _, err := runRecovered(t, s, 1, o); return err }},
+		{"RunShard", func(o Opts) error { _, err := s.RunShard(ctx, 1, o, 0, 1); return err }},
+		{"RunDeviation", func(o Opts) error { _, err := s.RunDeviation(ctx, 1, DeviationCandidate{}, o); return err }},
+		{"SingleRun", func(o Opts) error { _, _, err := s.SingleRun(1, nil, o); return err }},
+		{"Check", s.Check},
+	}
+	for _, o := range []Opts{{N: -5, Trials: 3}, {N: -1}, {Trials: -1}, {N: 8, Trials: -3}} {
+		o.Workers = 1
+		for _, path := range paths {
+			if err := path.run(o); err == nil {
+				t.Errorf("%s accepted n=%d trials=%d", path.name, o.N, o.Trials)
+			}
+		}
 	}
 }
 

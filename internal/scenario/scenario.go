@@ -174,12 +174,16 @@ func (s Scenario) params(o Opts) params {
 }
 
 // runParams resolves the caller's overrides for a run, rejecting a
-// scenario that is not runnable (the zero Scenario has no chunked job),
-// sizes below MinN, and an attack target that is not a leader of the
-// resolved ring. Every run path resolves through it.
+// scenario that is not runnable (the zero Scenario has no chunked job), a
+// negative size or trial count (only zero keeps the default), sizes below
+// MinN, and an attack target that is not a leader of the resolved ring.
+// Every run path resolves through it.
 func (s Scenario) runParams(o Opts) (params, error) {
 	if s.chunks == nil {
 		return params{}, fmt.Errorf("scenario: %q is not runnable", s.Name)
+	}
+	if o.N < 0 || o.Trials < 0 {
+		return params{}, fmt.Errorf("scenario: %s: negative override (n=%d trials=%d)", s.Name, o.N, o.Trials)
 	}
 	p := s.params(o)
 	switch {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/equilibrium"
+	"repro/internal/ring"
 	"repro/internal/scenario"
 	"repro/internal/service/diskcache"
 )
@@ -48,9 +49,6 @@ func (r JobRequest) key(sc scenario.Scenario, version string) string {
 // (scenario.Scenario.Check, the one RunOpts applies) and its trial count
 // must be bounded.
 func (r JobRequest) validate(sc scenario.Scenario, maxTrials int) error {
-	if r.N < 0 || r.Trials < 0 {
-		return fmt.Errorf("%s: negative override (n=%d trials=%d)", sc.Name, r.N, r.Trials)
-	}
 	if err := sc.Check(r.opts()); err != nil {
 		return err
 	}
@@ -467,6 +465,15 @@ type Stats struct {
 		Completed int64   `json:"completed"`
 		PerSecond float64 `json:"per_second"`
 	} `json:"trials"`
+	// Lanes reports ring.LaneBlocks: the lane executions that ring chunk
+	// jobs ran, and how many of them diverged and reran scalar. The counts
+	// are process-wide, so they include every scheduler and every other
+	// caller of the ring chunk jobs in the process, and they cover ring
+	// chunk jobs only: the committee's lane blocks do not count.
+	Lanes struct {
+		Blocks   int64 `json:"blocks"`
+		Diverged int64 `json:"diverged"`
+	} `json:"lanes"`
 }
 
 // Stats captures the scheduler's current counters.
@@ -529,5 +536,6 @@ func (s *Scheduler) Stats() Stats {
 	if up := st.UptimeSeconds; up > 0 {
 		st.Trials.PerSecond = float64(st.Trials.Completed) / up
 	}
+	st.Lanes.Blocks, st.Lanes.Diverged = ring.LaneBlocks()
 	return st
 }

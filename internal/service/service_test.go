@@ -597,6 +597,35 @@ func TestSubmitRejectsOutOfRangeTarget(t *testing.T) {
 	}
 }
 
+// TestStatsCountLaneBlocks: a plain 32-trial job of a sum ring runs its
+// trials as two lane blocks, and /statz reports them. Other tests in the
+// process run lane blocks too, so the count must rise, not reach an exact
+// value.
+func TestStatsCountLaneBlocks(t *testing.T) {
+	_, client := newTestServer(t, Config{})
+	ctx := context.Background()
+	for _, name := range []string{"ring/a-lead/fifo", "ring/basic-lead/fifo"} {
+		before, err := client.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states, err := client.Submit(ctx, []JobRequest{{Scenario: name, Trials: 32, Seed: 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final, err := client.Wait(ctx, states[0].ID); err != nil || final.Status != StatusDone {
+			t.Fatalf("%s: job ended %v, %v", name, final.Status, err)
+		}
+		after, err := client.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.Lanes.Blocks < before.Lanes.Blocks+2 {
+			t.Errorf("%s: /statz lane blocks %d → %d, want a rise of at least 2", name, before.Lanes.Blocks, after.Lanes.Blocks)
+		}
+	}
+}
+
 // TestRetiredJobsAreBounded pins the resident-daemon memory bound for both
 // payloads: failed and canceled records are dropped oldest-first once the
 // retention cap (the cache capacity) is exceeded.
